@@ -7,6 +7,8 @@
 package adapters
 
 import (
+	"slices"
+
 	"github.com/repro/wormhole/internal/art"
 	"github.com/repro/wormhole/internal/btree"
 	"github.com/repro/wormhole/internal/core"
@@ -123,11 +125,16 @@ func (ix *whIx) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 // NewReadHandle implements index.ReadPinner with a pinned QSBR reader
 // (core.Reader satisfies index.ReadHandle structurally, and
 // index.BatchHandle via batchReader below).
-func (ix *whIx) NewReadHandle() index.ReadHandle { return &batchReader{ix.t.NewReader()} }
+func (ix *whIx) NewReadHandle() index.ReadHandle { return &batchReader{r: ix.t.NewReader()} }
 
 // batchReader adapts core.Reader's positional GetBatch to the
-// allocate-and-return shape of index.BatchHandle.
-type batchReader struct{ r *core.Reader }
+// return shape of index.BatchHandle, reusing its result slices call to
+// call as that interface allows.
+type batchReader struct {
+	r     *core.Reader
+	vals  [][]byte
+	found []bool
+}
 
 func (b *batchReader) Get(k []byte) ([]byte, bool) { return b.r.Get(k) }
 func (b *batchReader) Close()                      { b.r.Close() }
@@ -138,8 +145,9 @@ func (b *batchReader) ScanDesc(s []byte, fn func(k, v []byte) bool) {
 	b.r.ScanDesc(s, fn)
 }
 func (b *batchReader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
+	vals = slices.Grow(b.vals[:0], len(keys))[:len(keys)]
+	found = slices.Grow(b.found[:0], len(keys))[:len(keys)]
+	b.vals, b.found = vals, found
 	b.r.GetBatch(keys, vals, found, nil)
 	return vals, found
 }

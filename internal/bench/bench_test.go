@@ -36,6 +36,29 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+// TestReadPathLatencyOnlyOnSampledRow: readpath samples latency on one
+// thread, so only its threads=1 rows may carry percentiles.
+func TestReadPathLatencyOnlyOnSampledRow(t *testing.T) {
+	var buf bytes.Buffer
+	c := tinyConfig(&buf)
+	var rows []Result
+	c.Record = func(r Result) { rows = append(rows, r) }
+	ReadPath(c)
+	sampled := 0
+	for _, r := range rows {
+		hasLat := r.P50Ns > 0 || r.P99Ns > 0 || r.P999Ns > 0
+		if r.Threads != 1 && hasLat {
+			t.Errorf("%s@%d carries latency sampled on one thread: %+v", r.Op, r.Threads, r)
+		}
+		if r.Threads == 1 && hasLat {
+			sampled++
+		}
+	}
+	if sampled == 0 {
+		t.Fatalf("no threads=1 row carries latency percentiles (%d rows)", len(rows))
+	}
+}
+
 func TestThroughputCounts(t *testing.T) {
 	mops := Throughput(2, 50*time.Millisecond, 1, func(tid int, r *Rng) {
 		_ = r.Next()

@@ -39,7 +39,8 @@ func ReadPath(c *Config) {
 	row := func(op string, pts []int, allocs float64, sample func(), cell func(threads int) float64) {
 		// Latency percentiles come from one single-threaded sampling pass
 		// per operation (see SampleLatency); the throughput cells stay
-		// clock-free. The same numbers annotate every thread count's cell.
+		// clock-free. Only the threads=1 cell carries them: that is the
+		// configuration they were sampled in.
 		var p50, p99, p999 float64
 		if sample != nil {
 			p50, p99, p999 = SampleLatency(c.Duration/4, sample)
@@ -66,12 +67,15 @@ func ReadPath(c *Config) {
 				mopsCPU = mops * wall.Seconds() / cpu.Seconds()
 			}
 			c.printf("%8.2f", mops)
-			c.record(Result{
+			res := Result{
 				Exp: "readpath", Op: op, Index: "wormhole", Threads: t,
 				Keys: len(keys), MOPS: mops, MOPSCPU: mopsCPU,
 				NsPerOp: 1e3 / mops, AllocsPerOp: allocs,
-				P50Ns: p50, P99Ns: p99, P999Ns: p999,
-			})
+			}
+			if t == 1 {
+				res.P50Ns, res.P99Ns, res.P999Ns = p50, p99, p999
+			}
+			c.record(res)
 		}
 		c.printf("%14.2f\n", allocs)
 		if p50 > 0 {

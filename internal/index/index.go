@@ -38,9 +38,9 @@ type OrderedDesc interface {
 
 // Batcher is implemented by partitioned stores (internal/shard) that
 // execute operations grouped by shard. Batches amortize routing and
-// per-shard synchronization and let callers — notably the netkv server's
-// per-shard worker pool — run disjoint shards concurrently. Slices are
-// positional: result i answers keys[i], whatever shard it landed in.
+// per-shard synchronization, and let callers — notably the netkv
+// executor — group a batch's point operations by owning shard. Slices
+// are positional: result i answers keys[i], whatever shard it landed in.
 type Batcher interface {
 	Index
 	// NumShards returns the number of independent partitions.
@@ -84,8 +84,10 @@ type ScanHandle interface {
 // reader announcement for the whole batch and the memory-parallel
 // pipelined lookup. Slices are positional: vals[i], found[i] answer
 // keys[i], and the call must be equivalent to len(keys) sequential Gets.
-// The netkv server routes runs of consecutive point reads through the
-// connection's or worker's handle when it supports this.
+// The vals and found slices may be the handle's own scratch: they are
+// valid until the handle's next call, so a caller that keeps results
+// copies them first. The netkv server routes each shard's runs of
+// consecutive point reads through the connection's handle.
 type BatchHandle interface {
 	ReadHandle
 	GetBatch(keys [][]byte) (vals [][]byte, found []bool)

@@ -63,9 +63,9 @@ func TestPanicDropsConnectionNotServer(t *testing.T) {
 }
 
 // panicHandle panics on a poison key from inside a pinned read handle —
-// i.e. on a shard worker's goroutine when the batch fans out. It
-// deliberately does not implement BatchHandle, so poisoned Gets reach its
-// Get instead of the batched path.
+// i.e. inside one shard's group of the executor. It deliberately does not
+// implement BatchHandle, so poisoned Gets reach its Get instead of the
+// batched path.
 type panicHandle struct {
 	inner index.ReadHandle
 }
@@ -89,14 +89,14 @@ func (p *panicPinner) NewReadHandle() index.ReadHandle {
 	return &panicHandle{inner: p.Store.NewReadHandle()}
 }
 
-// TestWorkerPanicAnswersErrAndPoolSurvives panics inside the per-shard
-// worker pool: the poisoned group must answer StatusErr in a well-formed
-// frame — the connection survives, the other shard's results are intact —
-// and the worker keeps serving later batches.
+// TestWorkerPanicAnswersErrAndPoolSurvives panics inside one shard's
+// group of a batch: the poisoned group must answer StatusErr in a
+// well-formed frame — the connection survives, the other shard's results
+// are intact — and the connection keeps serving later batches.
 func TestWorkerPanicAnswersErrAndPoolSurvives(t *testing.T) {
 	// No Sample: uniform byte-range partitioning, so "boom" (0x62...)
-	// lands on shard 0 and the 0xf0 key on shard 1 — two active groups,
-	// forcing the worker-pool path rather than the inline one.
+	// lands on shard 0 and the 0xf0 key on shard 1 — two shard groups,
+	// one poisoned and one healthy.
 	s, err := Serve("127.0.0.1:0", &panicPinner{Store: shard.New(shard.Options{Shards: 2})})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestWorkerPanicAnswersErrAndPoolSurvives(t *testing.T) {
 	c.QueueGet(hi)
 	rs, err := c.Flush()
 	if err != nil {
-		t.Fatalf("worker panic broke the connection: %v", err)
+		t.Fatalf("group panic broke the connection: %v", err)
 	}
 	if rs[0].Status != StatusErr {
 		t.Fatalf("poisoned get: status %d, want StatusErr", rs[0].Status)
@@ -126,7 +126,7 @@ func TestWorkerPanicAnswersErrAndPoolSurvives(t *testing.T) {
 		t.Fatalf("healthy shard's result corrupted by sibling panic: %+v", rs[1])
 	}
 
-	// Same connection, same workers: the pool survived.
+	// Same connection, same handle: serving continues.
 	c.QueueGet(hi)
 	c.QueueGet([]byte("absent"))
 	rs, err = c.Flush()
@@ -134,7 +134,7 @@ func TestWorkerPanicAnswersErrAndPoolSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rs[0].Status != StatusOK || rs[1].Status != StatusNotFound {
-		t.Fatalf("pool dead after panic: %+v %+v", rs[0], rs[1])
+		t.Fatalf("connection dead after panic: %+v %+v", rs[0], rs[1])
 	}
 }
 

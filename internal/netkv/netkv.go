@@ -19,6 +19,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,18 @@ const (
 // DefaultBatch is the paper's request batch size for Figure 12.
 const DefaultBatch = 800
 
+// maxFrame bounds a frame's length field, in both directions: a reader
+// drops the connection on a longer one, so the server shapes every
+// response to fit (see executor.budget).
 const maxFrame = 64 << 20
+
+// maxScanPairs is the most pairs one scan response can carry: its pair
+// count is a uint16 on the wire.
+const maxScanPairs = 1<<16 - 1
+
+// keepBuf caps the frame buffers a connection keeps between batches, so
+// one huge batch does not pin its buffers for the connection's lifetime.
+const keepBuf = 1 << 20
 
 // Stat is the OpStat response document. The base fields come from the
 // served index; replication roles fill in their sections through
@@ -184,7 +196,7 @@ type ServerOptions struct {
 	// MaxInflight, when non-zero, caps concurrently-processing batches
 	// server-wide. Excess batches wait their turn after being read —
 	// backpressure degrades latency smoothly instead of letting load
-	// spikes pile unbounded work onto the workers.
+	// spikes pile unbounded work onto the index.
 	MaxInflight int
 	// Metrics, when non-nil, arms per-operation counters, latency
 	// histograms and the slow-op tracer (NewServerMetrics). Nil costs
@@ -220,22 +232,23 @@ type fencer interface {
 	FencedBy() uint64
 }
 
-// Server serves an index.Index over TCP. When the index is a sharded
-// store (index.Batcher), each request batch's point operations are
-// dispatched to a pool of per-shard workers: one worker owns each shard,
-// so disjoint shards execute a batch concurrently while every operation
-// on one shard — and hence on one key — keeps its batch order.
+// Server serves an index.Index over TCP. Each connection's goroutine
+// executes its own batches inline (see executor): point operations are
+// grouped by owning shard when the index is a sharded store
+// (index.Batcher), so every operation on one shard — and hence on one key
+// — keeps its batch order, and each shard's runs of Gets go through one
+// batched lookup.
 //
 // When the index supports pinned readers (index.ReadPinner), every
-// connection handler and every shard worker claims one read handle for
-// its lifetime, so a served GET pays the index's per-reader registration
-// once per connection instead of once per request — the paper's §2.5
-// lock-free readers amortized across the wire. Range operations (SCAN,
-// SCANDESC) go through the same per-connection handle when it supports
-// scans (index.ScanHandle), so they ride the lock-free scan path too.
+// connection claims one read handle for its lifetime, so a served GET
+// pays the index's per-reader registration once per connection instead
+// of once per request — the paper's §2.5 lock-free readers amortized
+// across the wire. Range operations (SCAN, SCANDESC) go through the same
+// handle when it supports scans (index.ScanHandle), so they ride the
+// lock-free scan path too.
 type Server struct {
 	ix  index.Index
-	bx  index.Batcher // non-nil when ix supports shard dispatch
+	bx  index.Batcher // non-nil when ix is a store of several shards
 	rp  index.ReadPinner
 	dx  index.Durable // non-nil when ix persists (serves OpFlush)
 	opt ServerOptions
@@ -257,18 +270,6 @@ type Server struct {
 	// nothing. start feeds OpStat's uptime.
 	mx    *ServerMetrics
 	start time.Time
-
-	workers  []chan func(index.ReadHandle) // one job channel per shard
-	workerWG sync.WaitGroup
-}
-
-// newReadHandle returns a pinned read handle for one goroutine's
-// lifetime, or nil when the index has no amortized read path.
-func (s *Server) newReadHandle() index.ReadHandle {
-	if s.rp == nil {
-		return nil
-	}
-	return s.rp.NewReadHandle()
 }
 
 // Serve starts a plain server on addr (e.g. "127.0.0.1:0") and returns
@@ -287,7 +288,17 @@ func ServeOpts(addr string, ix index.Index, opt ServerOptions) (*Server, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ix: ix, ln: ln, opt: opt, mx: opt.Metrics, start: time.Now()}
+	s := newServer(ix, opt)
+	s.ln = ln
+	s.wg.Add(1)
+	go s.acceptLoop()
+	return s, nil
+}
+
+// newServer resolves the index's capabilities into a server that is not
+// yet listening.
+func newServer(ix index.Index, opt ServerOptions) *Server {
+	s := &Server{ix: ix, opt: opt, mx: opt.Metrics, start: time.Now()}
 	s.ro.Store(opt.ReadOnly)
 	if opt.MaxInflight > 0 {
 		s.sem = make(chan struct{}, opt.MaxInflight)
@@ -312,32 +323,8 @@ func ServeOpts(addr string, ix index.Index, opt ServerOptions) (*Server, error) 
 	}
 	if bx, ok := ix.(index.Batcher); ok && bx.NumShards() > 1 {
 		s.bx = bx
-		s.workers = make([]chan func(index.ReadHandle), bx.NumShards())
-		for i := range s.workers {
-			ch := make(chan func(index.ReadHandle), 16)
-			s.workers[i] = ch
-			s.workerWG.Add(1)
-			go func() {
-				defer s.workerWG.Done()
-				h := s.newReadHandle() // the worker's own pinned reader
-				if h != nil {
-					defer h.Close()
-				}
-				for job := range ch {
-					// A panicking job must not take the worker (and with it
-					// the whole shard) down; its batch's connection reports
-					// StatusErr and the pool keeps serving.
-					func() {
-						defer func() { recover() }()
-						job(h)
-					}()
-				}
-			}()
-		}
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the listening address.
@@ -347,11 +334,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // follower to a writable standalone store flips it off.
 func (s *Server) SetReadOnly(ro bool) { s.ro.Store(ro) }
 
-// Close stops the listener, waits for connection handlers to finish
-// their in-flight batches, and drains the shard worker pool. Idempotent:
-// a second Close returns nil without touching the already-drained pool.
-// The server does not own the index; closing a durable index is its
-// creator's job, after Close returns.
+// Close stops the listener and waits for connection handlers to finish
+// their in-flight batches. Idempotent: a second Close returns nil. The
+// server does not own the index; closing a durable index is its creator's
+// job, after Close returns.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.cls {
@@ -362,10 +348,6 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.ln.Close()
 	s.wg.Wait()
-	for _, ch := range s.workers {
-		close(ch)
-	}
-	s.workerWG.Wait()
 	return err
 }
 
@@ -401,36 +383,19 @@ func (s *Server) handle(conn net.Conn) {
 		defer s.mx.conns.Dec()
 	}
 	r := bufio.NewReaderSize(conn, 1<<20)
-	w := bufio.NewWriterSize(conn, 1<<20)
-	h := s.newReadHandle() // one pinned reader per connection
-	if h != nil {
-		defer h.Close()
+	e := s.newExecutor()
+	if e.h != nil {
+		defer e.h.Close()
 	}
-	scratch := make([]Request, 0, DefaultBatch)
 	for {
 		if s.opt.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opt.ReadTimeout))
 		}
-		reqs, err := readRequests(r, scratch[:0])
+		reqs, err := e.read(r)
 		if err != nil {
 			return // EOF, deadline or protocol error: drop the connection
 		}
-		if len(reqs) == 1 && reqs[0].Op == OpSubscribe {
-			if s.opt.Subscribe == nil {
-				s.mx.record(OpSubscribe, StatusNotFound, nil, 0)
-				// Not a replication leader: a regular one-response frame
-				// says so and the connection stays usable.
-				var hdr [6]byte
-				binary.LittleEndian.PutUint32(hdr[:4], 3)
-				binary.LittleEndian.PutUint16(hdr[4:], 1)
-				if _, err := w.Write(hdr[:]); err != nil {
-					return
-				}
-				if err := w.WriteByte(StatusNotFound); err != nil || w.Flush() != nil {
-					return
-				}
-				continue
-			}
+		if len(reqs) == 1 && reqs[0].Op == OpSubscribe && s.opt.Subscribe != nil {
 			// The connection now belongs to the replication stream: long
 			// idle stretches are its normal state, so the per-batch
 			// deadlines must not apply.
@@ -439,7 +404,7 @@ func (s *Server) handle(conn net.Conn) {
 			if s.mx != nil {
 				s.mx.subscribers.Inc()
 			}
-			s.opt.Subscribe(conn, r, w, reqs[0].Key)
+			s.opt.Subscribe(conn, r, bufio.NewWriterSize(conn, 1<<20), reqs[0].Key)
 			if s.mx != nil {
 				s.mx.subscribers.Dec()
 			}
@@ -467,64 +432,39 @@ func (s *Server) handle(conn net.Conn) {
 			t0 = time.Now()
 			s.mx.inflight.Inc()
 		}
-		var perr error
-		if s.dispatchable(reqs) {
-			perr = s.processSharded(w, reqs, h)
-		} else {
-			perr = s.process(w, reqs, h)
-		}
-		if s.opt.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))
-		}
-		if perr == nil {
-			perr = w.Flush()
-		}
+		frame := e.exec(reqs)
+		// Count the batch before answering it: a client that has its
+		// response must find it in the next scrape.
 		if s.mx != nil {
 			s.mx.inflight.Dec()
 			s.mx.batches.Inc()
 			s.mx.batchOps.Add(uint64(len(reqs)))
 			s.mx.batchSeconds.Observe(time.Since(t0))
 		}
+		if s.opt.WriteTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.opt.WriteTimeout))
+		}
+		_, err = conn.Write(frame)
 		if s.sem != nil {
 			<-s.sem
 		}
-		if perr != nil {
+		if err != nil || s.closed() {
 			return
 		}
-		if s.closed() {
-			return
+		if cap(e.frame) > keepBuf || cap(e.out) > keepBuf {
+			e.frame, e.out = nil, nil
 		}
-		scratch = reqs
 	}
 }
 
-// dispatchable reports whether a batch can go through the per-shard
-// worker pool: a sharded index, more than one request to amortize the
-// handoff, and point operations only — a Scan crosses shard boundaries,
-// so any batch containing one falls back to sequential processing.
-func (s *Server) dispatchable(reqs []Request) bool {
-	if s.bx == nil || len(reqs) < 2 {
-		return false
-	}
-	for _, rq := range reqs {
-		switch rq.Op {
-		case OpGet, OpSet, OpDel:
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// execPoint executes one point operation against the index, returning the
-// response status plus, for operations whose response carries a value
-// section (Get), the value. Both processing paths share it so the wire
-// semantics cannot diverge. Gets go through the calling goroutine's
+// execPoint executes one point operation against the index and returns
+// its status and, for a Get, the value. Gets go through the connection's
 // pinned read handle when one exists. Set copies its buffers: the request
-// slices are reused per batch.
-func (s *Server) execPoint(rq *Request, h index.ReadHandle) (status byte, val []byte, hasVal bool) {
-	switch rq.Op {
-	case OpGet:
+// slices alias the connection's frame buffer, which the next batch
+// overwrites.
+func (s *Server) execPoint(rq *Request, h index.ReadHandle) (byte, []byte) {
+	switch {
+	case rq.Op == OpGet:
 		var v []byte
 		var ok bool
 		if h != nil {
@@ -533,176 +473,28 @@ func (s *Server) execPoint(rq *Request, h index.ReadHandle) (status byte, val []
 			v, ok = s.ix.Get(rq.Key)
 		}
 		if !ok {
-			return StatusNotFound, nil, true
+			return StatusNotFound, nil
 		}
-		return StatusOK, v, true
-	case OpSet:
-		// The fence check runs first, BEFORE the index mutates: a stale
-		// leader must refuse every write once it knows a higher epoch
-		// exists, and the refusal must prove non-application so clients
-		// can resend to the new leader.
-		if s.fc != nil && s.fc.FenceErr() != nil {
-			return StatusFenced, nil, false
-		}
-		if s.ro.Load() {
-			return StatusReadOnly, nil, false
-		}
-		// The degraded check runs BEFORE the index mutates: a write the
-		// WAL cannot log must not land in memory either, or reads would
-		// serve state that a restart loses.
-		if s.wh != nil && s.wh.WriteErr(rq.Key) != nil {
-			return StatusDegraded, nil, false
-		}
-		k := append([]byte{}, rq.Key...)
-		v := append([]byte{}, rq.Val...)
-		s.ix.Set(k, v)
-		return StatusOK, nil, false
-	default: // OpDel; dispatchable/process admit nothing else
-		if s.fc != nil && s.fc.FenceErr() != nil {
-			return StatusFenced, nil, false
-		}
-		if s.ro.Load() {
-			return StatusReadOnly, nil, false
-		}
-		if s.wh != nil && s.wh.WriteErr(rq.Key) != nil {
-			return StatusDegraded, nil, false
-		}
-		if s.ix.Del(rq.Key) {
-			return StatusOK, nil, false
-		}
-		return StatusNotFound, nil, false
+		return StatusOK, v
+	// Writes are refused BEFORE the index mutates. The fence check runs
+	// first: a stale leader must refuse every write once it knows a higher
+	// epoch exists, and the refusal proves non-application, so clients can
+	// resend to the new leader. A write the WAL cannot log (degraded) must
+	// not land in memory either, or reads would serve state that a restart
+	// loses.
+	case s.fc != nil && s.fc.FenceErr() != nil:
+		return StatusFenced, nil
+	case s.ro.Load():
+		return StatusReadOnly, nil
+	case s.wh != nil && s.wh.WriteErr(rq.Key) != nil:
+		return StatusDegraded, nil
+	case rq.Op == OpSet:
+		s.ix.Set(append([]byte{}, rq.Key...), append([]byte{}, rq.Val...))
+		return StatusOK, nil
+	case s.ix.Del(rq.Key):
+		return StatusOK, nil
 	}
-}
-
-// processSharded executes one batch through the per-shard worker pool.
-// Requests are grouped by owning shard in batch order; each group runs on
-// its shard's worker, results land in a positional slice, and responses
-// are serialized in the original request order once every group finishes.
-// A batch that lands entirely on one shard (e.g. a skewed keyspace under
-// a uniform partitioner) runs inline on the connection handler instead,
-// so concurrent connections never serialize behind a single worker.
-// connHandle is the connection goroutine's pinned reader, used only on
-// that inline path; dispatched groups use their worker's own handle.
-func (s *Server) processSharded(w *bufio.Writer, reqs []Request, connHandle index.ReadHandle) error {
-	type result struct {
-		status byte
-		val    []byte // Get only; nil means no value section
-		hasVal bool
-	}
-	groups := make([][]int, s.bx.NumShards())
-	active := 0
-	for i, rq := range reqs {
-		g := s.bx.ShardOf(rq.Key)
-		if len(groups[g]) == 0 {
-			active++
-		}
-		groups[g] = append(groups[g], i)
-	}
-	results := make([]result, len(reqs))
-	// Within a group, maximal runs of consecutive Gets go through the
-	// handle's batched lookup (Wormhole's memory-parallel pipeline) in one
-	// call. Runs never extend across a Set or Del, so each key's
-	// operations keep their in-batch program order.
-	runGroup := func(g []int, h index.ReadHandle) {
-		bh, _ := h.(index.BatchHandle)
-		var keys [][]byte
-		var run []int
-		flush := func() {
-			if len(run) == 0 {
-				return
-			}
-			var t0 time.Time
-			if s.mx != nil {
-				t0 = time.Now()
-			}
-			vals, found := bh.GetBatch(keys)
-			// The run executes as one memory-parallel pipeline, so
-			// per-operation latency is the run's wall time divided evenly —
-			// the fair per-op cost of a batched lookup.
-			var per time.Duration
-			if s.mx != nil {
-				per = time.Since(t0) / time.Duration(len(run))
-			}
-			for j, i := range run {
-				if found[j] {
-					results[i] = result{status: StatusOK, val: vals[j], hasVal: true}
-					s.mx.record(OpGet, StatusOK, keys[j], per)
-				} else {
-					results[i] = result{status: StatusNotFound, hasVal: true}
-					s.mx.record(OpGet, StatusNotFound, keys[j], per)
-				}
-			}
-			keys, run = keys[:0], run[:0]
-		}
-		for _, i := range g {
-			if bh != nil && reqs[i].Op == OpGet {
-				keys = append(keys, reqs[i].Key)
-				run = append(run, i)
-				continue
-			}
-			flush()
-			var t0 time.Time
-			if s.mx != nil {
-				t0 = time.Now()
-			}
-			st, v, hasVal := s.execPoint(&reqs[i], h)
-			if s.mx != nil {
-				s.mx.record(reqs[i].Op, st, reqs[i].Key, time.Since(t0))
-			}
-			results[i] = result{status: st, val: v, hasVal: hasVal}
-		}
-		flush()
-	}
-	if active == 1 {
-		for _, g := range groups {
-			if len(g) > 0 {
-				runGroup(g, connHandle)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for sh, g := range groups {
-			if len(g) == 0 {
-				continue
-			}
-			wg.Add(1)
-			g := g
-			s.workers[sh] <- func(h index.ReadHandle) {
-				defer wg.Done()
-				// A panicking group answers StatusErr (with an empty value
-				// section where the wire format demands one, so the frame
-				// stays decodable) instead of poisoning the worker.
-				defer func() {
-					if recover() != nil {
-						for _, i := range g {
-							results[i] = result{status: StatusErr, hasVal: reqs[i].Op == OpGet}
-							// No honest duration for a panicked group: count
-							// the outcome, skip the histogram.
-							s.mx.record(reqs[i].Op, StatusErr, reqs[i].Key, 0)
-						}
-					}
-				}()
-				runGroup(g, h)
-			}
-		}
-		wg.Wait()
-	}
-	var body []byte
-	for _, rs := range results {
-		body = append(body, rs.status)
-		if rs.hasVal {
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(rs.val)))
-			body = append(body, rs.val...)
-		}
-	}
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+2))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(reqs)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
+	return StatusNotFound, nil
 }
 
 // stat assembles the OpStat document from the served index plus the
@@ -752,145 +544,102 @@ func (s *Server) stat() *Stat {
 	return st
 }
 
-// scanner resolves the function serving a range operation: the calling
-// goroutine's pinned read handle when it supports scans (the lock-free
-// scan path amortized per connection, like Gets), otherwise the index
-// itself. nil means the index has no scan in that direction.
-func (s *Server) scanner(h index.ReadHandle, desc bool) func([]byte, func(k, v []byte) bool) {
-	if sh, ok := h.(index.ScanHandle); ok {
-		if desc {
-			return sh.ScanDesc
-		}
-		return sh.Scan
+// executor runs one connection's batches on the connection's goroutine.
+// A batch executes as maximal runs of point operations (Get, Set, Del)
+// separated by barriers (Scan, ScanDesc, Flush, Fence, Stat), which run
+// alone and in batch order. Within a run, operations are grouped by
+// owning shard in batch order, and each group's maximal runs of Gets go
+// through one batched lookup on the connection's handle; a Set or Del
+// ends a Get run, so every key's operations keep their program order.
+//
+// Everything a batch needs besides the index — the request frame, the
+// decoded requests, the shard groups, the result slots and the encoded
+// response — is per-connection scratch reused from batch to batch, so a
+// steady stream of Get batches allocates nothing on the server.
+type executor struct {
+	s  *Server
+	h  index.ReadHandle  // the connection's pinned reader; nil without one
+	bh index.BatchHandle // h's batched lookup; nil when it has none
+
+	hdr    [6]byte
+	frame  []byte // the request frame; requests alias it
+	reqs   []Request
+	groups [][]int  // per-shard request indexes of the current run
+	keys   [][]byte // one Get run's keys
+	res    []result // point results, by request index
+	out    []byte   // the response frame: header, then body
+	next   int      // position in the group being run; see runGroup
+	budget int      // body bytes still free beyond every answer's fixed part
+
+	// The range scans, through h when it can scan (the lock-free scan path
+	// amortized per connection, like Gets) and otherwise through the
+	// index; nil when the index has no scan in that direction. scanFn is
+	// their callback, bound once, so a scan allocates no closure.
+	asc, desc        func(start []byte, fn func(k, v []byte) bool)
+	scanFn           func(k, v []byte) bool
+	scanN, scanLimit int
+}
+
+// result is one point operation's answer; a Get's carries a value
+// section even when not found.
+type result struct {
+	status byte
+	val    []byte
+}
+
+// newExecutor claims the connection's pinned read handle, when the index
+// has an amortized read path; the caller closes it.
+func (s *Server) newExecutor() *executor {
+	e := &executor{s: s, groups: make([][]int, 1)}
+	if s.rp != nil {
+		e.h = s.rp.NewReadHandle()
+		e.bh, _ = e.h.(index.BatchHandle)
 	}
-	if desc {
+	if sh, ok := e.h.(index.ScanHandle); ok {
+		e.asc, e.desc = sh.Scan, sh.ScanDesc
+	} else {
+		if ord, ok := s.ix.(index.Ordered); ok {
+			e.asc = ord.Scan
+		}
 		if od, ok := s.ix.(index.OrderedDesc); ok {
-			return od.ScanDesc
+			e.desc = od.ScanDesc
 		}
-		return nil
 	}
-	if ord, ok := s.ix.(index.Ordered); ok {
-		return ord.Scan
+	if s.bx != nil {
+		e.groups = make([][]int, s.bx.NumShards())
 	}
-	return nil
+	e.scanFn = e.scanPair
+	return e
 }
 
-func (s *Server) process(w *bufio.Writer, reqs []Request, h index.ReadHandle) error {
-	var hdr [6]byte
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(reqs)))
-	// The frame length is not known upfront; buffer the body.
-	var body []byte
-	for _, rq := range reqs {
-		// Every case writes its status byte first, so body[stAt] after the
-		// switch is this operation's outcome — one timing site covers all
-		// opcodes.
-		stAt := len(body)
-		var t0 time.Time
-		if s.mx != nil {
-			t0 = time.Now()
-		}
-		switch rq.Op {
-		case OpGet, OpSet, OpDel:
-			st, v, hasVal := s.execPoint(&rq, h)
-			body = append(body, st)
-			if hasVal {
-				body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
-				body = append(body, v...)
-			}
-		case OpFlush:
-			// Earlier operations in this batch are already applied (and
-			// logged, on a durable index), so the barrier covers them.
-			switch {
-			case s.dx == nil:
-				body = append(body, StatusNotFound)
-			case s.dx.Flush() != nil:
-				body = append(body, StatusErr)
-			default:
-				body = append(body, StatusOK)
-			}
-		case OpFence:
-			switch {
-			case s.fc == nil || len(rq.Key) != 8:
-				body = append(body, StatusNotFound)
-			case s.fc.Fence(binary.LittleEndian.Uint64(rq.Key)) != nil:
-				// The in-memory fence stands even when persisting it
-				// failed; report the failure so the caller knows a restart
-				// could forget it.
-				body = append(body, StatusErr)
-			default:
-				body = append(body, StatusOK)
-			}
-		case OpStat:
-			doc, err := json.Marshal(s.stat())
-			if err != nil {
-				body = append(body, StatusErr)
-				body = binary.LittleEndian.AppendUint32(body, 0)
-				break
-			}
-			body = append(body, StatusOK)
-			body = binary.LittleEndian.AppendUint32(body, uint32(len(doc)))
-			body = append(body, doc...)
-		case OpScan, OpScanDesc:
-			scan := s.scanner(h, rq.Op == OpScanDesc)
-			if scan == nil {
-				body = append(body, StatusNotFound)
-				body = binary.LittleEndian.AppendUint16(body, 0)
-				break
-			}
-			body = append(body, StatusOK)
-			lenAt := len(body)
-			body = binary.LittleEndian.AppendUint16(body, 0)
-			n := 0
-			start := rq.Key
-			if len(start) == 0 {
-				// The wire cannot carry nil: an empty key means "from the
-				// smallest key" ascending, "from the largest" descending.
-				start = nil
-			}
-			scan(start, func(k, v []byte) bool {
-				body = binary.LittleEndian.AppendUint32(body, uint32(len(k)))
-				body = append(body, k...)
-				body = binary.LittleEndian.AppendUint32(body, uint32(len(v)))
-				body = append(body, v...)
-				n++
-				return uint32(n) < rq.Limit
-			})
-			binary.LittleEndian.PutUint16(body[lenAt:], uint16(n))
-		default:
-			return fmt.Errorf("netkv: bad opcode %d", rq.Op)
-		}
-		if s.mx != nil {
-			s.mx.record(rq.Op, body[stAt], rq.Key, time.Since(t0))
-		}
-	}
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+2))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
-	return err
-}
-
-func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {
-	var hdr [6]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// read decodes one request frame into the executor's scratch; the
+// requests alias the frame buffer until the next read. A frame whose
+// counts, lengths or opcodes do not add up is rejected whole, before any
+// of it runs. OpSubscribe is valid only as a batch's sole request.
+func (e *executor) read(r *bufio.Reader) ([]Request, error) {
+	if _, err := io.ReadFull(r, e.hdr[:]); err != nil {
 		return nil, err
 	}
-	frameLen := binary.LittleEndian.Uint32(hdr[:4])
-	count := binary.LittleEndian.Uint16(hdr[4:])
+	frameLen := binary.LittleEndian.Uint32(e.hdr[:4])
+	count := int(binary.LittleEndian.Uint16(e.hdr[4:]))
 	if frameLen < 2 || frameLen > maxFrame {
 		return nil, errors.New("netkv: bad frame length")
 	}
-	body := make([]byte, frameLen-2)
+	e.frame = slices.Grow(e.frame[:0], int(frameLen-2))[:frameLen-2]
+	body := e.frame
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
-	for i := 0; i < int(count); i++ {
+	reqs := e.reqs[:0]
+	for i := 0; i < count; i++ {
 		var rq Request
 		if len(body) < 5 {
 			return nil, errors.New("netkv: truncated op")
 		}
 		rq.Op = body[0]
+		if rq.Op < OpGet || rq.Op > OpFence || (rq.Op == OpSubscribe && count != 1) {
+			return nil, fmt.Errorf("netkv: bad opcode %d", rq.Op)
+		}
 		klen := binary.LittleEndian.Uint32(body[1:5])
 		body = body[5:]
 		// Widen before adding: klen+4 in uint32 wraps for hostile lengths
@@ -913,7 +662,233 @@ func readRequests(r *bufio.Reader, reqs []Request) ([]Request, error) {
 		}
 		reqs = append(reqs, rq)
 	}
+	e.reqs = reqs
 	return reqs, nil
+}
+
+func isPoint(op byte) bool { return op == OpGet || op == OpSet || op == OpDel }
+
+// exec runs one decoded batch and returns its encoded response frame,
+// valid until the next exec. The response never exceeds maxFrame: a
+// value that would not fit answers StatusErr, and a scan stops early.
+func (e *executor) exec(reqs []Request) []byte {
+	// Reserve room for every answer's fixed part (at most a status byte
+	// and a 4-byte length); values and scanned pairs share the rest.
+	e.budget = maxFrame - 2 - 5*len(reqs)
+	e.res = slices.Grow(e.res[:0], len(reqs))[:len(reqs)]
+	e.out = append(e.out[:0], e.hdr[:]...) // header placeholder
+	for i := 0; i < len(reqs); {
+		j := i
+		for j < len(reqs) && isPoint(reqs[j].Op) {
+			j++
+		}
+		if j > i {
+			e.points(reqs, i, j)
+			for k := i; k < j; k++ {
+				rs := &e.res[k]
+				e.out = append(e.out, rs.status)
+				if reqs[k].Op == OpGet {
+					e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(rs.val)))
+					e.out = append(e.out, rs.val...)
+				}
+				*rs = result{} // let the index's value go
+			}
+		}
+		if j < len(reqs) {
+			e.barrier(&reqs[j])
+			j++
+		}
+		i = j
+	}
+	binary.LittleEndian.PutUint32(e.out[:4], uint32(len(e.out)-4))
+	binary.LittleEndian.PutUint16(e.out[4:6], uint16(len(reqs)))
+	return e.out
+}
+
+// points executes the point operations reqs[lo:hi], grouped by shard.
+func (e *executor) points(reqs []Request, lo, hi int) {
+	for g := range e.groups {
+		e.groups[g] = e.groups[g][:0]
+	}
+	for i := lo; i < hi; i++ {
+		g := 0
+		if e.s.bx != nil {
+			g = e.s.bx.ShardOf(reqs[i].Key)
+		}
+		e.groups[g] = append(e.groups[g], i)
+	}
+	for _, g := range e.groups {
+		if len(g) > 0 {
+			e.runGroup(reqs, g)
+		}
+	}
+}
+
+// runGroup executes one shard's operations in order. On a sharded store
+// a panic inside the group answers StatusErr for the operations it had
+// not finished, in a well-formed response, while the other groups' answers
+// stand; on an unsharded index it propagates and drops the connection.
+func (e *executor) runGroup(reqs []Request, g []int) {
+	if e.s.bx != nil {
+		defer func() {
+			if recover() != nil {
+				for _, i := range g[e.next:] {
+					// No honest duration for a panicked operation: count the
+					// outcome, skip the histogram.
+					e.put(i, &reqs[i], StatusErr, nil, 0)
+				}
+			}
+		}()
+	}
+	for e.next = 0; e.next < len(g); {
+		i := g[e.next]
+		if e.bh != nil && reqs[i].Op == OpGet {
+			j := e.next + 1
+			for j < len(g) && reqs[g[j]].Op == OpGet {
+				j++
+			}
+			e.getRun(reqs, g[e.next:j])
+			e.next = j
+			continue
+		}
+		t0 := e.now()
+		st, v := e.s.execPoint(&reqs[i], e.h)
+		e.put(i, &reqs[i], st, v, since(t0))
+		e.next++
+	}
+}
+
+// getRun answers a run of Gets on one shard through the handle's batched
+// lookup (Wormhole's memory-parallel pipeline) in one call.
+func (e *executor) getRun(reqs []Request, run []int) {
+	e.keys = e.keys[:0]
+	for _, i := range run {
+		e.keys = append(e.keys, reqs[i].Key)
+	}
+	t0 := e.now()
+	vals, found := e.bh.GetBatch(e.keys)
+	// The run executes as one pipeline, so per-operation latency is the
+	// run's wall time divided evenly — the fair per-op cost of a batched
+	// lookup.
+	per := since(t0) / time.Duration(len(run))
+	for j, i := range run {
+		st := StatusNotFound
+		if found[j] {
+			st = StatusOK
+		}
+		e.put(i, &reqs[i], st, vals[j], per)
+	}
+}
+
+// put stores request i's point answer and records it. A value the
+// response has no room left for answers StatusErr instead.
+func (e *executor) put(i int, rq *Request, st byte, val []byte, d time.Duration) {
+	if len(val) > e.budget {
+		st, val = StatusErr, nil
+	}
+	e.budget -= len(val)
+	e.res[i] = result{st, val}
+	e.s.mx.record(rq.Op, st, rq.Key, d)
+}
+
+// barrier executes one non-point operation, appending its answer to the
+// response. Earlier operations of the batch have all run.
+func (e *executor) barrier(rq *Request) {
+	s, t0 := e.s, e.now()
+	// Every case writes its status byte first, so out[stAt] afterwards is
+	// the outcome.
+	stAt := len(e.out)
+	switch rq.Op {
+	case OpFlush:
+		// Earlier operations in this batch are already applied (and
+		// logged, on a durable index), so the barrier covers them.
+		switch {
+		case s.dx == nil:
+			e.out = append(e.out, StatusNotFound)
+		case s.dx.Flush() != nil:
+			e.out = append(e.out, StatusErr)
+		default:
+			e.out = append(e.out, StatusOK)
+		}
+	case OpFence:
+		switch {
+		case s.fc == nil || len(rq.Key) != 8:
+			e.out = append(e.out, StatusNotFound)
+		case s.fc.Fence(binary.LittleEndian.Uint64(rq.Key)) != nil:
+			// The in-memory fence stands even when persisting it failed;
+			// report the failure so the caller knows a restart could
+			// forget it.
+			e.out = append(e.out, StatusErr)
+		default:
+			e.out = append(e.out, StatusOK)
+		}
+	case OpStat:
+		doc, err := json.Marshal(s.stat())
+		if err != nil || len(doc) > e.budget {
+			e.out = append(e.out, StatusErr, 0, 0, 0, 0)
+			break
+		}
+		e.budget -= len(doc)
+		e.out = append(e.out, StatusOK)
+		e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(doc)))
+		e.out = append(e.out, doc...)
+	case OpScan, OpScanDesc:
+		e.out = append(e.out, StatusOK, 0, 0)
+		e.scanN, e.scanLimit = 0, int(min(rq.Limit, maxScanPairs))
+		start := rq.Key
+		if len(start) == 0 {
+			// The wire cannot carry nil: an empty key means "from the
+			// smallest key" ascending, "from the largest" descending.
+			start = nil
+		}
+		scan := e.asc
+		if rq.Op == OpScanDesc {
+			scan = e.desc
+		}
+		if scan == nil {
+			e.out[stAt] = StatusNotFound
+		} else {
+			scan(start, e.scanFn)
+		}
+		binary.LittleEndian.PutUint16(e.out[stAt+1:], uint16(e.scanN))
+	default: // OpSubscribe on a server that is not a replication leader
+		e.out = append(e.out, StatusNotFound)
+	}
+	s.mx.record(rq.Op, e.out[stAt], rq.Key, since(t0))
+}
+
+// now reads the clock only when metrics are armed: unarmed, the serving
+// path never does.
+func (e *executor) now() time.Time {
+	if e.s.mx == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// since is the time elapsed from t0, or 0 when now did not read the clock.
+func since(t0 time.Time) time.Duration {
+	if t0.IsZero() {
+		return 0
+	}
+	return time.Since(t0)
+}
+
+// scanPair appends one scanned pair to the response. The scan stops at
+// its limit, at maxScanPairs, or at the first pair the response has no
+// room left for.
+func (e *executor) scanPair(k, v []byte) bool {
+	need := 8 + len(k) + len(v)
+	if e.scanN >= e.scanLimit || need > e.budget {
+		return false
+	}
+	e.budget -= need
+	e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(k)))
+	e.out = append(e.out, k...)
+	e.out = binary.LittleEndian.AppendUint32(e.out, uint32(len(v)))
+	e.out = append(e.out, v...)
+	e.scanN++
+	return e.scanN < e.scanLimit
 }
 
 // Client is a single-connection batched client. It is not safe for
@@ -929,11 +904,15 @@ type Client struct {
 	addr string
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
-	out  []byte
+	out  []byte // the request frame: header, then the queued requests
 	ops  []byte // op kind per queued request, needed to decode responses
 	n    int
 	err  error // sticky transport error; cleared by Redial
+
+	// The response frame and its decoded answers, reused by every Flush.
+	hdr [6]byte
+	in  []byte
+	rs  []Response
 
 	// Timeout, when non-zero, bounds each Flush's network phases: the
 	// batch write and the response read each get a deadline this far
@@ -952,7 +931,6 @@ func Dial(addr string) (*Client, error) {
 		addr: addr,
 		conn: conn,
 		r:    bufio.NewReaderSize(conn, 1<<20),
-		w:    bufio.NewWriterSize(conn, 1<<20),
 	}, nil
 }
 
@@ -989,7 +967,6 @@ func (c *Client) Redial(maxWait time.Duration) error {
 		if err == nil {
 			c.conn = conn
 			c.r.Reset(conn)
-			c.w.Reset(conn)
 			c.out, c.ops, c.n = c.out[:0], c.ops[:0], 0
 			c.err = nil
 			return nil
@@ -1074,13 +1051,16 @@ func (c *Client) Fence(epoch uint64) error {
 }
 
 // QueueScan appends a SCAN (up to limit ascending pairs from key; an
-// empty key starts at the smallest) to the batch.
+// empty key starts at the smallest) to the batch. One response carries at
+// most 65,535 pairs, and fewer when they would not fit in one response
+// frame; resume a longer range from just past the last key returned.
 func (c *Client) QueueScan(key []byte, limit int) {
 	c.queue(OpScan, key, nil, uint32(limit))
 }
 
 // QueueScanDesc appends a descending SCAN (up to limit pairs downward
-// from key; an empty key starts at the largest) to the batch.
+// from key; an empty key starts at the largest) to the batch, bounded as
+// QueueScan is.
 func (c *Client) QueueScanDesc(key []byte, limit int) {
 	c.queue(OpScanDesc, key, nil, uint32(limit))
 }
@@ -1089,6 +1069,9 @@ func (c *Client) QueueScanDesc(key []byte, limit int) {
 func (c *Client) Pending() int { return c.n }
 
 func (c *Client) queue(op byte, key, val []byte, limit uint32) {
+	if len(c.out) == 0 {
+		c.out = append(c.out, c.hdr[:]...) // header placeholder
+	}
 	c.out = append(c.out, op)
 	c.out = binary.LittleEndian.AppendUint32(c.out, uint32(len(key)))
 	c.out = append(c.out, key...)
@@ -1103,10 +1086,13 @@ func (c *Client) queue(op byte, key, val []byte, limit uint32) {
 }
 
 // Flush sends the batch and reads all responses, in request order. The
-// returned slices alias an internal buffer valid until the next Flush.
-// After a transport error the client is broken until Redial: the error
-// (with its underlying cause) repeats on every call rather than decaying
-// into short-read noise on a half-consumed stream.
+// returned slice and everything it references alias internal buffers
+// valid until the next Flush. A batch of more than 65,535 operations, or
+// one too large for a frame, is discarded unsent with an error; the
+// connection stays usable. After a transport error the client is broken
+// until Redial: the error (with its underlying cause) repeats on every
+// call rather than decaying into short-read noise on a half-consumed
+// stream.
 func (c *Client) Flush() ([]Response, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -1114,25 +1100,23 @@ func (c *Client) Flush() ([]Response, error) {
 	if c.n == 0 {
 		return nil, nil
 	}
-	var hdr [6]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(c.out)+2))
-	binary.LittleEndian.PutUint16(hdr[4:], uint16(c.n))
+	ops, n, frameLen := c.ops, c.n, len(c.out)-4
+	c.out, c.ops, c.n = c.out[:0], c.ops[:0], 0
+	if n > 1<<16-1 || frameLen > maxFrame {
+		return nil, fmt.Errorf("netkv: batch of %d ops in %d bytes exceeds a frame (65535 ops, %d bytes); nothing sent", n, frameLen, maxFrame)
+	}
+	out := c.out[:frameLen+4] // still holds the batch until the next queue
+	binary.LittleEndian.PutUint32(out[:4], uint32(frameLen))
+	binary.LittleEndian.PutUint16(out[4:], uint16(n))
 	if c.Timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.Timeout))
 	}
-	if _, err := c.w.Write(hdr[:]); err != nil {
+	if _, err := c.conn.Write(out); err != nil {
 		return nil, c.fail(err)
 	}
-	if _, err := c.w.Write(c.out); err != nil {
-		return nil, c.fail(err)
+	if cap(c.out) > keepBuf {
+		c.out = nil
 	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	ops := append([]byte{}, c.ops...)
-	c.out = c.out[:0]
-	c.ops = c.ops[:0]
-	c.n = 0
 	return c.readResponses(ops)
 }
 
@@ -1161,8 +1145,8 @@ func (c *Client) FlushRetry(maxWait time.Duration) ([]Response, error) {
 	deadline := time.Now().Add(maxWait)
 	for {
 		rs, err := c.Flush()
-		if err == nil {
-			return rs, nil
+		if err == nil || c.err == nil { // success, or a batch refused unsent
+			return rs, err
 		}
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -1181,68 +1165,81 @@ func (c *Client) readResponses(ops []byte) ([]Response, error) {
 	if c.Timeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(c.Timeout))
 	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.hdr[:]); err != nil {
 		return nil, c.fail(err)
 	}
-	frameLen := binary.LittleEndian.Uint32(hdr[:4])
-	got := int(binary.LittleEndian.Uint16(hdr[4:]))
+	frameLen := binary.LittleEndian.Uint32(c.hdr[:4])
+	got := int(binary.LittleEndian.Uint16(c.hdr[4:]))
 	if got != len(ops) {
 		return nil, c.fail(fmt.Errorf("netkv: response count %d != %d", got, len(ops)))
 	}
 	if frameLen < 2 || frameLen > maxFrame {
 		return nil, c.fail(errors.New("netkv: bad response frame"))
 	}
-	body := make([]byte, frameLen-2)
-	if _, err := io.ReadFull(c.r, body); err != nil {
+	if cap(c.in) > keepBuf {
+		c.in = nil
+	}
+	c.in = slices.Grow(c.in[:0], int(frameLen-2))[:frameLen-2]
+	if _, err := io.ReadFull(c.r, c.in); err != nil {
 		return nil, c.fail(err)
 	}
-	resps := make([]Response, 0, len(ops))
-	for _, op := range ops {
+	rs, err := decodeResponses(c.in, ops, c.rs)
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	c.rs = rs
+	return rs, nil
+}
+
+// decodeResponses parses a response body answering ops into rs's
+// storage; the answers alias body.
+func decodeResponses(body, ops []byte, rs []Response) ([]Response, error) {
+	rs = slices.Grow(rs[:0], len(ops))[:len(ops)]
+	for i, op := range ops {
 		if len(body) < 1 {
-			return nil, c.fail(errors.New("netkv: truncated response"))
+			return nil, errors.New("netkv: truncated response")
 		}
-		rp := Response{Status: body[0]}
+		rp := &rs[i]
+		*rp = Response{Status: body[0]}
 		body = body[1:]
 		switch op {
 		case OpGet, OpStat:
 			if len(body) < 4 {
-				return nil, c.fail(errors.New("netkv: truncated get response"))
+				return nil, errors.New("netkv: truncated get response")
 			}
 			vlen := binary.LittleEndian.Uint32(body[:4])
 			body = body[4:]
 			if uint32(len(body)) < vlen {
-				return nil, c.fail(errors.New("netkv: truncated get value"))
+				return nil, errors.New("netkv: truncated get value")
 			}
 			rp.Val = body[:vlen]
 			body = body[vlen:]
 		case OpScan, OpScanDesc:
 			if len(body) < 2 {
-				return nil, c.fail(errors.New("netkv: truncated scan response"))
+				return nil, errors.New("netkv: truncated scan response")
 			}
 			n := int(binary.LittleEndian.Uint16(body[:2]))
 			body = body[2:]
-			for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
 				if len(body) < 4 {
-					return nil, c.fail(errors.New("netkv: truncated scan pair"))
+					return nil, errors.New("netkv: truncated scan pair")
 				}
 				klen := binary.LittleEndian.Uint32(body[:4])
 				body = body[4:]
 				if uint64(klen)+4 > uint64(len(body)) {
-					return nil, c.fail(errors.New("netkv: truncated scan key"))
+					return nil, errors.New("netkv: truncated scan key")
 				}
 				rp.Keys = append(rp.Keys, body[:klen])
 				body = body[klen:]
 				vlen := binary.LittleEndian.Uint32(body[:4])
 				body = body[4:]
 				if uint32(len(body)) < vlen {
-					return nil, c.fail(errors.New("netkv: truncated scan value"))
+					return nil, errors.New("netkv: truncated scan value")
 				}
 				rp.Vals = append(rp.Vals, body[:vlen])
 				body = body[vlen:]
 			}
 		}
-		resps = append(resps, rp)
 	}
-	return resps, nil
+	return rs, nil
 }

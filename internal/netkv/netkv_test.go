@@ -166,10 +166,10 @@ func TestLargeValues(t *testing.T) {
 }
 
 // startShardedServer serves a 4-shard store directly (not via the
-// registry) so the per-shard worker-pool dispatch path runs regardless of
-// the host's CPU count. Boundaries are placed inside the key ranges the
-// tests use, so their batches produce multiple shard groups and exercise
-// the concurrent grouping/reassembly path, not the one-group fast path.
+// registry) so the executor's per-shard grouping runs regardless of the
+// host's CPU count. Boundaries are placed inside the key ranges the tests
+// use, so their batches produce multiple shard groups and exercise the
+// grouping and in-order reassembly, not the one-group case.
 func startShardedServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	part := shard.NewExplicit([][]byte{
@@ -180,8 +180,8 @@ func startShardedServer(t *testing.T) (*Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if s.bx == nil || len(s.workers) != 4 {
-		t.Fatalf("sharded server has no worker pool (bx=%v, workers=%d)", s.bx, len(s.workers))
+	if s.bx == nil || s.bx.NumShards() != 4 {
+		t.Fatalf("sharded server does not group by shard (bx=%v)", s.bx)
 	}
 	c, err := Dial(s.Addr())
 	if err != nil {
@@ -535,7 +535,7 @@ func TestServerDoubleClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A second Close must not re-close the drained worker channels.
+	// A second Close must be a no-op that reports no error.
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}

@@ -16,6 +16,7 @@ package shard
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -257,7 +258,15 @@ func collectRange(limit int, start []byte, scan func([]byte, func(k, v []byte) b
 // relative order inside each shard so same-key operations in one batch
 // keep their program order (equal keys always route to the same shard).
 func (s *Store) group(keys [][]byte) [][]int {
-	groups := make([][]int, len(s.shards))
+	return s.groupInto(make([][]int, len(s.shards)), keys)
+}
+
+// groupInto is group over caller-owned lists, emptied and refilled, so a
+// long-lived caller (a Reader) regroups every batch without allocating.
+func (s *Store) groupInto(groups [][]int, keys [][]byte) [][]int {
+	for g := range groups {
+		groups[g] = groups[g][:0]
+	}
 	for i, k := range keys {
 		g := s.part.Locate(k)
 		groups[g] = append(groups[g], i)
@@ -325,6 +334,11 @@ func (s *Store) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 type Reader struct {
 	s  *Store
 	rs []*core.Reader
+
+	// GetBatch's grouping lists and result slots, reused call to call.
+	groups [][]int
+	vals   [][]byte
+	found  []bool
 }
 
 // NewReader returns a read handle bound to this store.
@@ -333,7 +347,7 @@ func (s *Store) NewReader() *Reader {
 	for i, w := range s.shards {
 		rs[i] = w.NewReader()
 	}
-	return &Reader{s: s, rs: rs}
+	return &Reader{s: s, rs: rs, groups: make([][]int, len(s.shards))}
 }
 
 // NewReadHandle implements index.ReadPinner.
@@ -348,16 +362,18 @@ func (r *Reader) Get(key []byte) ([]byte, bool) {
 // GetBatch looks up keys grouped by shard through the pinned readers;
 // vals[i], found[i] answer keys[i]. Groups run sequentially on the
 // caller's goroutine (the handles are single-goroutine); use the store's
-// GetBatch for fan-out across shards.
+// GetBatch for fan-out across shards. The result slices are the handle's
+// own and stay valid only until its next GetBatch.
 func (r *Reader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	var t0 time.Time
 	bmx := r.s.bmx.Load()
 	if bmx != nil {
 		t0 = time.Now()
 	}
-	vals = make([][]byte, len(keys))
-	found = make([]bool, len(keys))
-	for sh, idxs := range r.s.group(keys) {
+	vals = slices.Grow(r.vals[:0], len(keys))[:len(keys)]
+	found = slices.Grow(r.found[:0], len(keys))[:len(keys)]
+	r.vals, r.found = vals, found
+	for sh, idxs := range r.s.groupInto(r.groups, keys) {
 		if len(idxs) > 0 {
 			r.rs[sh].GetBatch(keys, vals, found, idxs)
 		}

@@ -1,6 +1,8 @@
 package wormhole
 
 import (
+	"slices"
+
 	"github.com/repro/wormhole/internal/shard"
 )
 
@@ -118,9 +120,11 @@ func (sx *Sharded) Reader() *ShardedReader { return &ShardedReader{r: sx.s.NewRe
 func (r *ShardedReader) Get(key []byte) ([]byte, bool) { return r.r.Get(key) }
 
 // GetBatch looks up keys grouped by shard through the pinned readers;
-// vals[i], found[i] answer keys[i].
+// vals[i], found[i] answer keys[i]. The returned slices are the caller's
+// to keep.
 func (r *ShardedReader) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
-	return r.r.GetBatch(keys)
+	vals, found = r.r.GetBatch(keys)
+	return slices.Clone(vals), slices.Clone(found)
 }
 
 // Scan visits keys >= start in ascending order until fn returns false,

@@ -291,4 +291,12 @@ func TestPublicDescAndIterators(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("ShardedReader.ScanDesc visited %d, want 5", n)
 	}
+
+	// The handle reuses its internal result buffers; the public GetBatch
+	// hands out copies the caller keeps across calls.
+	vals1, found1 := sr.GetBatch([][]byte{[]byte("s0001"), []byte("absent")})
+	sr.GetBatch([][]byte{[]byte("absent"), []byte("s0002")})
+	if string(vals1[0]) != "s0001" || !found1[0] || found1[1] {
+		t.Fatalf("ShardedReader.GetBatch results changed under a later call: %q %v", vals1, found1)
+	}
 }
