@@ -529,6 +529,9 @@ func oneShot(cmd string, args []string) {
 		case netkv.StatusFenced:
 			fmt.Fprintln(os.Stderr, "whkv: server is a fenced stale leader (a higher epoch exists); the delete was NOT applied — resend it to the current leader (see whkv stat for both epochs)")
 			os.Exit(1)
+		case netkv.StatusErr:
+			fmt.Fprintln(os.Stderr, "whkv: delete failed on the server")
+			os.Exit(1)
 		default:
 			fmt.Println("(not found)")
 		}

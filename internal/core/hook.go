@@ -12,17 +12,21 @@ package core
 // The returned token flows to Barrier after the index has released all
 // its locks; Barrier may block (e.g. on a group-committed fsync) until
 // the observed mutation is durable, without stalling readers or writers
-// on other leaves. Hooks that need no durability wait return 0 and make
-// Barrier a no-op.
+// on other leaves. Tokens are ordered: Barrier(t) also covers every
+// mutation the hook handed a smaller token, so a caller that applied
+// several mutations waits once, on the largest. Hooks that need no
+// durability wait return 0 and make Barrier a no-op.
 //
 // Hooks do not fire during BulkLoad: bulk loading is the recovery path,
 // and recovery must not re-log what it replays.
 type MutationHook interface {
 	OnSet(key, val []byte) (token uint64)
 	OnDel(key []byte) (token uint64)
-	// Barrier blocks until the mutation identified by token is durable
-	// per the hook's policy. Called outside all index locks.
-	Barrier(token uint64)
+	// Barrier blocks until the mutation identified by token, and every
+	// one with a smaller token, is durable per the hook's policy, and
+	// reports why it is not when it cannot be. Called outside all index
+	// locks.
+	Barrier(token uint64) error
 }
 
 // SetMutationHook installs h (nil removes it). It must be called before
@@ -49,10 +53,14 @@ func (w *Wormhole) logDel(key []byte) uint64 {
 	return w.hook.OnDel(key)
 }
 
-// barrier waits out the hook's durability policy for token, outside all
-// index locks.
-func (w *Wormhole) barrier(token uint64) {
-	if w.hook != nil {
-		w.hook.Barrier(token)
+// Commit waits until the mutations behind token — the largest token of
+// the SetNoWait/DelNoWait calls being committed — are durable per the
+// hook's policy, and reports a durability failure. Call it outside any
+// lock: under SyncAlways it blocks on a group-committed fsync. Without a
+// hook it returns nil at once.
+func (w *Wormhole) Commit(token uint64) error {
+	if w.hook == nil {
+		return nil
 	}
+	return w.hook.Barrier(token)
 }

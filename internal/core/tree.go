@@ -348,20 +348,24 @@ func (r *Reader) Close() {
 	}
 }
 
-// Set inserts or replaces key's value. Key and value buffers are retained;
-// the caller must not mutate them afterwards.
+// Set inserts or replaces key's value and waits for the hook's
+// durability policy. Key and value buffers are retained; the caller must
+// not mutate them afterwards. A durability failure cannot be reported
+// here; the hook keeps it (a WAL store goes degraded).
 func (w *Wormhole) Set(key, val []byte) {
+	w.Commit(w.SetNoWait(key, val))
+}
+
+// SetNoWait is Set without the durability wait: it applies the mutation,
+// lets the hook log it in commit order, and returns the hook's token for
+// a later Commit. Several writes commit with one Commit of their largest
+// token.
+func (w *Wormhole) SetNoWait(key, val []byte) (token uint64) {
 	h := hashKey(key)
-	var token uint64
 	if !w.opt.Concurrent {
-		token = w.setUnsafe(h, key, val)
-	} else {
-		token = w.setOnline(h, key, val)
+		return w.setUnsafe(h, key, val)
 	}
-	// The hook observed the mutation in commit order (under the leaf
-	// lock); any blocking durability wait happens here, with every index
-	// lock released, so an fsync never stalls readers or other writers.
-	w.barrier(token)
+	return w.setOnline(h, key, val)
 }
 
 func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
@@ -506,23 +510,26 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 	return w.logSet(key, val)
 }
 
-// Del removes key, reporting whether it was present. When the leaf drains
-// it is opportunistically merged with a neighbor (Algorithm 2's DEL).
+// Del removes key, reporting whether it was present, and waits for the
+// hook's durability policy. When the leaf drains it is opportunistically
+// merged with a neighbor (Algorithm 2's DEL).
 func (w *Wormhole) Del(key []byte) bool {
-	h := hashKey(key)
-	var found bool
-	var token uint64
-	if !w.opt.Concurrent {
-		found, token = w.delUnsafe(h, key)
-	} else {
-		found, token = w.delOnline(h, key)
-	}
-	// Only a present key's removal is a mutation; the hook already
-	// observed it in commit order, so only the durability wait remains.
+	found, token := w.DelNoWait(key)
+	// Only a present key's removal is a mutation with a wait to serve.
 	if found {
-		w.barrier(token)
+		w.Commit(token)
 	}
 	return found
+}
+
+// DelNoWait is Del without the durability wait. An absent key's removal
+// logs nothing and returns token 0.
+func (w *Wormhole) DelNoWait(key []byte) (found bool, token uint64) {
+	h := hashKey(key)
+	if !w.opt.Concurrent {
+		return w.delUnsafe(h, key)
+	}
+	return w.delOnline(h, key)
 }
 
 func (w *Wormhole) delOnline(h uint32, key []byte) (bool, uint64) {

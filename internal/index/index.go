@@ -93,6 +93,25 @@ type BatchHandle interface {
 	GetBatch(keys [][]byte) (vals [][]byte, found []bool)
 }
 
+// WriteHandle is a ReadHandle that can also write with the durability
+// wait deferred: Set and Del apply (visible to every reader at once) and
+// log without waiting, and Commit waits once for every write made
+// through the handle since the last Commit, reporting a write the store
+// could not make durable. Until Commit returns nil, no write made
+// through the handle may be acknowledged as durable. The netkv server
+// commits each run of a batch's point writes with one Commit, which
+// waits once per shard those writes touched.
+type WriteHandle interface {
+	ReadHandle
+	// Set inserts or replaces key. Key and value buffers are retained.
+	Set(key, val []byte)
+	// Del removes key, reporting whether it was present.
+	Del(key []byte) bool
+	// Commit waits until the handle's writes since the last Commit are
+	// durable and returns the first failure.
+	Commit() error
+}
+
 // Durable is implemented by stores with a persistence lifecycle (the
 // durable sharded store). Volatile indexes simply don't implement it.
 type Durable interface {

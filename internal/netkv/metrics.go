@@ -68,6 +68,9 @@ func NewServerMetrics(reg *metrics.Registry, slow *metrics.SlowLog) *ServerMetri
 				"Operations served, by opcode and response status.",
 				"op", opNames[op], "status", statusNames[st])
 		}
+		// A write through the connection's deferred-commit handle is
+		// timed without its commit wait (see executor.commit); that wait
+		// shows in wal_commit_wait_seconds and netkv_batch_seconds.
 		if byte(op) != OpSubscribe { // a subscription is a stream, not a latency
 			m.latency[op] = reg.Histogram("netkv_op_seconds",
 				"Per-operation serving latency.", "op", opNames[op])

@@ -66,6 +66,8 @@ const (
 	StatusOK byte = iota
 	StatusNotFound
 	// StatusErr reports a server-side failure (e.g. a flush I/O error).
+	// A write answered StatusErr because its durability wait failed is
+	// applied in memory, but whether a restart keeps it is unknown.
 	StatusErr
 	// StatusReadOnly rejects a mutation on a replication follower: writes
 	// belong on the leader until the follower is promoted.
@@ -245,7 +247,10 @@ type fencer interface {
 // of once per request — the paper's §2.5 lock-free readers amortized
 // across the wire. Range operations (SCAN, SCANDESC) go through the same
 // handle when it supports scans (index.ScanHandle), so they ride the
-// lock-free scan path too.
+// lock-free scan path too, and so do writes when it defers their
+// durability wait (index.WriteHandle): a run of a batch's writes then
+// waits once per shard, and the response that acknowledges them is
+// written after that wait.
 type Server struct {
 	ix  index.Index
 	bx  index.Batcher // non-nil when ix is a store of several shards
@@ -457,44 +462,34 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// execPoint executes one point operation against the index and returns
-// its status and, for a Get, the value. Gets go through the connection's
-// pinned read handle when one exists. Set copies its buffers: the request
-// slices alias the connection's frame buffer, which the next batch
-// overwrites.
-func (s *Server) execPoint(rq *Request, h index.ReadHandle) (byte, []byte) {
+// refuse returns the status that refuses a write to key, or StatusOK
+// when the write may apply. Writes are refused BEFORE the index mutates.
+// The fence check runs first: a stale leader must refuse every write
+// once it knows a higher epoch exists, and the refusal proves
+// non-application, so clients can resend to the new leader. A write the
+// WAL cannot log (degraded) must not land in memory either, or reads
+// would serve state that a restart loses.
+func (s *Server) refuse(key []byte) byte {
 	switch {
-	case rq.Op == OpGet:
-		var v []byte
-		var ok bool
-		if h != nil {
-			v, ok = h.Get(rq.Key)
-		} else {
-			v, ok = s.ix.Get(rq.Key)
-		}
-		if !ok {
-			return StatusNotFound, nil
-		}
-		return StatusOK, v
-	// Writes are refused BEFORE the index mutates. The fence check runs
-	// first: a stale leader must refuse every write once it knows a higher
-	// epoch exists, and the refusal proves non-application, so clients can
-	// resend to the new leader. A write the WAL cannot log (degraded) must
-	// not land in memory either, or reads would serve state that a restart
-	// loses.
 	case s.fc != nil && s.fc.FenceErr() != nil:
-		return StatusFenced, nil
+		return StatusFenced
 	case s.ro.Load():
-		return StatusReadOnly, nil
-	case s.wh != nil && s.wh.WriteErr(rq.Key) != nil:
-		return StatusDegraded, nil
-	case rq.Op == OpSet:
-		s.ix.Set(append([]byte{}, rq.Key...), append([]byte{}, rq.Val...))
-		return StatusOK, nil
-	case s.ix.Del(rq.Key):
-		return StatusOK, nil
+		return StatusReadOnly
+	case s.wh != nil && s.wh.WriteErr(key) != nil:
+		return StatusDegraded
 	}
-	return StatusNotFound, nil
+	return StatusOK
+}
+
+// ownKV copies a Set's key and value into one allocation: the request
+// slices alias the connection's frame buffer, which the next batch
+// overwrites, and the index retains what it is given. The key's capacity
+// ends at its length, so nothing appended to it can reach the value.
+func ownKV(key, val []byte) ([]byte, []byte) {
+	b := make([]byte, len(key)+len(val))
+	n := copy(b, key)
+	copy(b[n:], val)
+	return b[:n:n], b[n:]
 }
 
 // stat assembles the OpStat document from the served index plus the
@@ -551,6 +546,9 @@ func (s *Server) stat() *Stat {
 // owning shard in batch order, and each group's maximal runs of Gets go
 // through one batched lookup on the connection's handle; a Set or Del
 // ends a Get run, so every key's operations keep their program order.
+// When the handle writes with a deferred commit (index.WriteHandle), a
+// run's Sets and Dels apply through it and the run ends with one commit,
+// so a batch's writes to one shard share one durability wait.
 //
 // Everything a batch needs besides the index — the request frame, the
 // decoded requests, the shard groups, the result slots and the encoded
@@ -560,6 +558,14 @@ type executor struct {
 	s  *Server
 	h  index.ReadHandle  // the connection's pinned reader; nil without one
 	bh index.BatchHandle // h's batched lookup; nil when it has none
+	// wr is h's deferred-commit write path; nil when it has none. Then
+	// set and del are wr's, and every run of point operations ends with
+	// one wr.Commit before any of its answers is encoded (see commit).
+	// Otherwise they are the index's, and each write waits for its own
+	// durability.
+	wr  index.WriteHandle
+	set func(key, val []byte)
+	del func(key []byte) bool
 
 	hdr    [6]byte
 	frame  []byte // the request frame; requests alias it
@@ -581,19 +587,24 @@ type executor struct {
 }
 
 // result is one point operation's answer; a Get's carries a value
-// section even when not found.
+// section even when not found. d is the operation's latency, kept for a
+// deferred write's record.
 type result struct {
 	status byte
 	val    []byte
+	d      time.Duration
 }
 
 // newExecutor claims the connection's pinned read handle, when the index
 // has an amortized read path; the caller closes it.
 func (s *Server) newExecutor() *executor {
-	e := &executor{s: s, groups: make([][]int, 1)}
+	e := &executor{s: s, groups: make([][]int, 1), set: s.ix.Set, del: s.ix.Del}
 	if s.rp != nil {
 		e.h = s.rp.NewReadHandle()
 		e.bh, _ = e.h.(index.BatchHandle)
+		if e.wr, _ = e.h.(index.WriteHandle); e.wr != nil {
+			e.set, e.del = e.wr.Set, e.wr.Del
+		}
 	}
 	if sh, ok := e.h.(index.ScanHandle); ok {
 		e.asc, e.desc = sh.Scan, sh.ScanDesc
@@ -684,6 +695,7 @@ func (e *executor) exec(reqs []Request) []byte {
 		}
 		if j > i {
 			e.points(reqs, i, j)
+			e.commit(reqs, i, j)
 			for k := i; k < j; k++ {
 				rs := &e.res[k]
 				e.out = append(e.out, rs.status)
@@ -752,9 +764,67 @@ func (e *executor) runGroup(reqs []Request, g []int) {
 			continue
 		}
 		t0 := e.now()
-		st, v := e.s.execPoint(&reqs[i], e.h)
+		st, v := e.point(&reqs[i])
 		e.put(i, &reqs[i], st, v, since(t0))
 		e.next++
+	}
+}
+
+// point executes one point operation and returns its status and, for a
+// Get, the value. Gets go through the connection's pinned read handle
+// when one exists.
+func (e *executor) point(rq *Request) (byte, []byte) {
+	if rq.Op == OpGet {
+		var v []byte
+		var ok bool
+		if e.h != nil {
+			v, ok = e.h.Get(rq.Key)
+		} else {
+			v, ok = e.s.ix.Get(rq.Key)
+		}
+		if !ok {
+			return StatusNotFound, nil
+		}
+		return StatusOK, v
+	}
+	if st := e.s.refuse(rq.Key); st != StatusOK {
+		return st, nil
+	}
+	if rq.Op == OpSet {
+		e.set(ownKV(rq.Key, rq.Val))
+		return StatusOK, nil
+	}
+	if e.del(rq.Key) {
+		return StatusOK, nil
+	}
+	return StatusNotFound, nil
+}
+
+// commit makes the writes of the run reqs[lo:hi] durable with one
+// Commit, which waits once per shard they touched, and records them
+// only then. It runs after the run's shard groups, panicked ones
+// included, and before any answer of the run is encoded or any barrier
+// runs, so the response frame — the wire ack — never precedes the
+// durability wait. When the commit fails, each applied write answers
+// StatusErr: it is in memory, but whether a restart keeps it is
+// unknown. The shard is degraded by then, so later writes are refused.
+func (e *executor) commit(reqs []Request, lo, hi int) {
+	if e.wr == nil {
+		return
+	}
+	err := e.wr.Commit()
+	if err == nil && e.s.mx == nil {
+		return
+	}
+	for k := lo; k < hi; k++ {
+		rq, rs := &reqs[k], &e.res[k]
+		if rq.Op == OpGet {
+			continue
+		}
+		if err != nil && rs.status == StatusOK {
+			rs.status = StatusErr
+		}
+		e.s.mx.record(rq.Op, rs.status, rq.Key, rs.d)
 	}
 }
 
@@ -780,15 +850,19 @@ func (e *executor) getRun(reqs []Request, run []int) {
 	}
 }
 
-// put stores request i's point answer and records it. A value the
-// response has no room left for answers StatusErr instead.
+// put stores request i's point answer and records it; a write through
+// the handle's deferred commit is recorded by commit instead, once its
+// outcome is known. A value the response has no room left for answers
+// StatusErr instead.
 func (e *executor) put(i int, rq *Request, st byte, val []byte, d time.Duration) {
 	if len(val) > e.budget {
 		st, val = StatusErr, nil
 	}
 	e.budget -= len(val)
-	e.res[i] = result{st, val}
-	e.s.mx.record(rq.Op, st, rq.Key, d)
+	e.res[i] = result{st, val, d}
+	if e.wr == nil || rq.Op == OpGet {
+		e.s.mx.record(rq.Op, st, rq.Key, d)
+	}
 }
 
 // barrier executes one non-point operation, appending its answer to the

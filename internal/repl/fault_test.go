@@ -76,7 +76,7 @@ func TestDegradedLeaderServesReadsAndHeals(t *testing.T) {
 	waitConverged(t, ld, f)
 
 	// Fill the "disk" under every shard's WAL. The first write to a shard
-	// is accepted but poisons it (the fsync fails after the ack); every
+	// poisons it and answers StatusErr (its commit fsync fails); every
 	// write after that is refused StatusDegraded.
 	inj.AddRule(vfs.Rule{Kind: vfs.KindWrite | vfs.KindSync, PathContains: "wal-", Err: syscall.ENOSPC})
 	sawDegraded := false

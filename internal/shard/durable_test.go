@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/repro/wormhole/internal/metrics"
+	"github.com/repro/wormhole/internal/vfs"
 	"github.com/repro/wormhole/internal/wal"
 )
 
@@ -176,5 +178,111 @@ func TestVolatileLifecycleNoOps(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBatchWritesCommitOncePerShard: under SyncAlways, SetBatch and
+// DelBatch wait for exactly one fsync per shard they touch — not one per
+// key — on both the inline and the fanned-out path, and a Reader's
+// no-wait writes cost no fsync until one Commit, which costs one per
+// touched shard. Every committed write survives a power cut.
+func TestBatchWritesCommitOncePerShard(t *testing.T) {
+	mem := vfs.NewMemFS()
+	mx := wal.NewMetrics(metrics.NewRegistry())
+	var keys [][]byte
+	for i := 0; i < 2*parallelBatch; i++ {
+		keys = append(keys, []byte(fmt.Sprintf("c%05d", i)))
+	}
+	s, err := Open(Options{Dir: "/db", Shards: 2, Sample: keys,
+		Durability: wal.Options{Sync: wal.SyncAlways, FS: mem, Metrics: mx, NoSelfHeal: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [][]byte // the keys shard 0 owns
+	for _, k := range keys {
+		if s.ShardOf(k) == 0 {
+			first = append(first, k)
+		}
+	}
+	if len(first) == 0 || len(first) == len(keys) {
+		t.Fatalf("sample split the keys %d/%d", len(first), len(keys)-len(first))
+	}
+	fsyncs := func(op func()) uint64 {
+		f0 := mx.Fsyncs.Value()
+		op()
+		return mx.Fsyncs.Value() - f0
+	}
+	for _, c := range []struct {
+		name string
+		op   func()
+		want uint64
+	}{
+		{"SetBatch of 16 keys on both shards", func() { s.SetBatch(keys[len(keys)/2-8:len(keys)/2+8], keys) }, 2},
+		{"SetBatch fanned out over both shards", func() { s.SetBatch(keys, keys) }, 2},
+		{"SetBatch on one shard", func() { s.SetBatch(first, first) }, 1},
+		{"DelBatch of absent keys", func() { s.DelBatch([][]byte{[]byte("absent"), []byte("zz")}) }, 0},
+		{"DelBatch on one shard", func() { s.DelBatch(first[:len(first)/2]) }, 1},
+		{"DelBatch fanned out over both shards", func() { s.DelBatch(keys) }, 2},
+	} {
+		if n := fsyncs(c.op); n != c.want {
+			t.Errorf("%s: %d fsyncs, want %d", c.name, n, c.want)
+		}
+	}
+
+	r := s.NewReader()
+	defer r.Close()
+	if n := fsyncs(func() {
+		for _, k := range keys[:32] {
+			r.Set(k, []byte("r"))
+		}
+		r.Del(keys[len(keys)-1]) // absent by now: no write
+	}); n != 0 {
+		t.Fatalf("no-wait writes cost %d fsyncs before Commit", n)
+	}
+	if n := fsyncs(func() {
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Commit of writes on one shard: %d fsyncs, want 1", n)
+	}
+	if n := fsyncs(func() {
+		r.Set(first[0], []byte("r2"))
+		r.Set(keys[len(keys)-1], []byte("r2"))
+		if !r.Del(keys[1]) {
+			t.Error("Del of a present key reported absent")
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Fatalf("Commit of writes on both shards, then an empty Commit: %d fsyncs, want 2", n)
+	}
+
+	mem.Crash()
+	mem.Restart()
+	s2, err := Open(Options{Dir: "/db", Durability: wal.Options{FS: mem}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	want := map[string]string{}
+	for _, k := range keys[:32] {
+		want[string(k)] = "r"
+	}
+	want[string(first[0])] = "r2"
+	want[string(keys[len(keys)-1])] = "r2"
+	want[string(keys[1])] = ""
+	if int(s2.Count()) != len(want)-1 {
+		t.Fatalf("recovered %d keys, want %d", s2.Count(), len(want)-1)
+	}
+	for k, v := range want {
+		got, ok := s2.Get([]byte(k))
+		if ok != (v != "") || string(got) != v {
+			t.Fatalf("recovered %q = %q, %v; want %q", k, got, ok, v)
+		}
 	}
 }

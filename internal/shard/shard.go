@@ -326,11 +326,13 @@ func (s *Store) GetBatch(keys [][]byte) (vals [][]byte, found []bool) {
 	return vals, found
 }
 
-// Reader is an amortized read handle over the whole store: one pinned
+// Reader is an amortized handle over the whole store: one pinned
 // core.Reader per shard, claimed once and reused, so a long-lived
 // goroutine pays each shard's QSBR slot acquisition once instead of per
-// request. A Reader must not be used concurrently; Close releases every
-// per-shard handle.
+// request. It also writes with a deferred durability wait (Set, Del,
+// then one Commit), so a run of writes waits once per shard it touched.
+// A Reader must not be used concurrently; Close releases every per-shard
+// handle.
 type Reader struct {
 	s  *Store
 	rs []*core.Reader
@@ -339,15 +341,24 @@ type Reader struct {
 	groups [][]int
 	vals   [][]byte
 	found  []bool
+
+	// pend holds, per shard, the largest token of the writes not yet
+	// committed; dirty marks the shards that have any (a write whose
+	// log append failed has token 0 but still needs its Commit to
+	// report the failure).
+	pend     []uint64
+	dirty    []bool
+	anyDirty bool
 }
 
-// NewReader returns a read handle bound to this store.
+// NewReader returns a handle bound to this store.
 func (s *Store) NewReader() *Reader {
 	rs := make([]*core.Reader, len(s.shards))
 	for i, w := range s.shards {
 		rs[i] = w.NewReader()
 	}
-	return &Reader{s: s, rs: rs, groups: make([][]int, len(s.shards))}
+	return &Reader{s: s, rs: rs, groups: make([][]int, len(s.shards)),
+		pend: make([]uint64, len(s.shards)), dirty: make([]bool, len(s.shards))}
 }
 
 // NewReadHandle implements index.ReadPinner.
@@ -426,6 +437,53 @@ func (r *Reader) ScanDesc(start []byte, fn func(key, val []byte) bool) {
 	}
 }
 
+// Set inserts or replaces key without waiting for durability; the
+// write is visible at once and durable after the next Commit. Key and
+// value buffers are retained.
+func (r *Reader) Set(key, val []byte) {
+	sh := r.s.part.Locate(key)
+	r.pending(sh, r.s.shards[sh].SetNoWait(key, val))
+}
+
+// Del removes key, reporting whether it was present, without waiting
+// for durability; a removal is durable after the next Commit.
+func (r *Reader) Del(key []byte) bool {
+	sh := r.s.part.Locate(key)
+	found, token := r.s.shards[sh].DelNoWait(key)
+	if found {
+		r.pending(sh, token)
+	}
+	return found
+}
+
+func (r *Reader) pending(sh int, token uint64) {
+	r.pend[sh] = max(r.pend[sh], token)
+	r.dirty[sh] = true
+	r.anyDirty = true
+}
+
+// Commit waits until every write made through the handle since the last
+// Commit is durable, once per shard those writes touched, and returns
+// the first durability failure. Every touched shard is waited on even
+// after one fails, and the handle starts clean either way.
+func (r *Reader) Commit() error {
+	if !r.anyDirty {
+		return nil
+	}
+	r.anyDirty = false
+	var first error
+	for sh, d := range r.dirty {
+		if !d {
+			continue
+		}
+		if err := r.s.shards[sh].Commit(r.pend[sh]); err != nil && first == nil {
+			first = err
+		}
+		r.pend[sh], r.dirty[sh] = 0, false
+	}
+	return first
+}
+
 // Close releases every per-shard reader slot.
 func (r *Reader) Close() {
 	for _, cr := range r.rs {
@@ -435,7 +493,10 @@ func (r *Reader) Close() {
 }
 
 // SetBatch inserts or replaces keys[i] -> vals[i], grouped by shard.
-// Duplicate keys within one batch apply in batch order.
+// Duplicate keys within one batch apply in batch order. Each shard's
+// group waits for durability once, after its last write, and SetBatch
+// returns once every group is durable. A durability failure is kept by
+// the shard's WAL (it goes degraded), as for Set.
 func (s *Store) SetBatch(keys, vals [][]byte) {
 	var t0 time.Time
 	bmx := s.bmx.Load()
@@ -444,9 +505,11 @@ func (s *Store) SetBatch(keys, vals [][]byte) {
 	}
 	s.fanOut(s.group(keys), len(keys), func(sh int, idxs []int) {
 		w := s.shards[sh]
+		var token uint64
 		for _, i := range idxs {
-			w.Set(keys[i], vals[i])
+			token = max(token, w.SetNoWait(keys[i], vals[i]))
 		}
+		w.Commit(token)
 	})
 	if bmx != nil {
 		bmx.observeBatch(bmx.SetBatchSeconds, len(keys), t0)
@@ -454,6 +517,7 @@ func (s *Store) SetBatch(keys, vals [][]byte) {
 }
 
 // DelBatch removes keys grouped by shard, reporting presence per key.
+// Like SetBatch, it waits for durability once per shard group.
 func (s *Store) DelBatch(keys [][]byte) []bool {
 	var t0 time.Time
 	bmx := s.bmx.Load()
@@ -463,9 +527,13 @@ func (s *Store) DelBatch(keys [][]byte) []bool {
 	found := make([]bool, len(keys))
 	s.fanOut(s.group(keys), len(keys), func(sh int, idxs []int) {
 		w := s.shards[sh]
+		var token uint64
 		for _, i := range idxs {
-			found[i] = w.Del(keys[i])
+			var t uint64 // 0 for an absent key: nothing to wait for
+			found[i], t = w.DelNoWait(keys[i])
+			token = max(token, t)
 		}
+		w.Commit(token)
 	})
 	if bmx != nil {
 		bmx.observeBatch(bmx.DelBatchSeconds, len(keys), t0)

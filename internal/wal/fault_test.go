@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/repro/wormhole/internal/core"
+	"github.com/repro/wormhole/internal/metrics"
 	"github.com/repro/wormhole/internal/vfs"
 )
 
@@ -311,5 +312,67 @@ func TestDegradedHealsAfterENOSPCClears(t *testing.T) {
 	}
 	if _, ok := w2.Get([]byte("before")); !ok {
 		t.Fatal("pre-fault write lost")
+	}
+}
+
+// TestCommitCoversEarlierTokensAndReportsFsyncFailure pins the commit
+// contract a batching caller relies on under SyncAlways: one Commit of
+// the largest token makes every earlier no-wait write durable with one
+// fsync, a token from a rotated generation needs no fsync, and a failed
+// fsync comes back from Commit — and from every Commit while the store
+// stays degraded, token 0 (an append that failed) included.
+func TestCommitCoversEarlierTokensAndReportsFsyncFailure(t *testing.T) {
+	inj := vfs.NewInjector(vfs.NewMemFS())
+	mx := NewMetrics(metrics.NewRegistry())
+	w := backend()
+	st, err := Open("/db", w, Options{Sync: SyncAlways, FS: inj, Metrics: mx, NoSelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	w.SetMutationHook(st)
+
+	var tokens []uint64
+	for i := 0; i < 8; i++ {
+		tokens = append(tokens, w.SetNoWait([]byte{'k', byte(i)}, []byte("v")))
+	}
+	f0 := mx.Fsyncs.Value()
+	if err := w.Commit(tokens[len(tokens)-1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, tok := range tokens {
+		if err := w.Commit(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := mx.Fsyncs.Value() - f0; n != 1 {
+		t.Fatalf("committing 8 writes cost %d fsyncs, want 1", n)
+	}
+
+	old := w.SetNoWait([]byte("rotated"), []byte("v"))
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	f0 = mx.Fsyncs.Value()
+	if err := w.Commit(old); err != nil {
+		t.Fatal(err)
+	}
+	if n := mx.Fsyncs.Value() - f0; n != 0 {
+		t.Fatalf("a rotated generation's token cost %d fsyncs, want 0", n)
+	}
+
+	inj.AddRule(vfs.Rule{Kind: vfs.KindSync, PathContains: "wal-", Err: syscall.EIO})
+	if err := w.Commit(w.SetNoWait([]byte("lost"), []byte("v"))); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit over a failed fsync: %v, want EIO", err)
+	}
+	if !st.Degraded() {
+		t.Fatal("a failed commit fsync did not degrade the store")
+	}
+	inj.ClearRules()
+	if err := w.Commit(w.SetNoWait([]byte("after"), []byte("v"))); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit on a degraded store: %v, want the sticky EIO", err)
+	}
+	if err := w.Commit(0); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit of token 0 on a degraded store: %v, want the sticky EIO", err)
 	}
 }

@@ -17,8 +17,11 @@ type Metrics struct {
 	// FsyncSeconds is one fsync syscall; under SyncAlways group commit,
 	// one observation typically covers a whole convoy of records.
 	FsyncSeconds *metrics.Histogram
-	// CommitWaitSeconds is the Barrier wait: how long a mutation blocked
-	// until a group commit covering it retired.
+	// CommitWaitSeconds is the Barrier wait: how long a commit blocked
+	// until a group commit covering it retired. A commit covers every
+	// write a caller applied before it (a netkv batch's writes to one
+	// shard, one shard's group of a SetBatch), so one observation may
+	// stand for many mutations.
 	CommitWaitSeconds *metrics.Histogram
 	// SnapshotSeconds times a whole Snapshot (rotation, index scan,
 	// snapshot write and old-generation GC).

@@ -81,7 +81,7 @@ type Options struct {
 // OnSet and OnDel satisfy the core index's mutation-hook interface, so a
 // Store registered as the hook logs every committed mutation. They cannot
 // return errors; the first I/O failure sticks in the log and surfaces on
-// the next Flush, Snapshot or Close.
+// the next Barrier (under SyncAlways), Flush, Snapshot or Close.
 type Store struct {
 	dir string
 	opt Options
@@ -105,9 +105,10 @@ type Store struct {
 
 	// failure is the first durability-compromising error (a failed append
 	// or a failed rotation sync), stamped with the WAL generation it
-	// happened in. Set/Del cannot report errors, so it is sticky and
-	// surfaces on Err, Flush and Close — durable callers should check one
-	// of those at their consistency points. A successful Snapshot clears
+	// happened in. OnSet/OnDel cannot report errors, so it is sticky and
+	// surfaces on Barrier (under SyncAlways), Err, Flush and Close —
+	// durable callers should check one of those at their consistency
+	// points. A successful Snapshot clears
 	// a failure from an older generation (the snapshot supersedes that
 	// log history), never one from the generation it is writing alongside.
 	failMu  sync.Mutex
@@ -444,9 +445,8 @@ func (s *Store) Err() error {
 
 // appendRecord frames rec onto the active log and packs the token;
 // shared by OnSet/OnDel. An append failure cannot be reported to the
-// mutating caller (Set/Del have no error path), so it is recorded sticky
-// and the token is 0 — Barrier then does not pretend the record is
-// durable by waiting on nothing.
+// mutating caller here, so it is recorded sticky and the token is 0 —
+// Barrier then reports the failure instead of waiting on nothing.
 func (s *Store) appendRecord(rec []byte) uint64 {
 	s.logMu.RLock()
 	gen := s.gen
@@ -489,31 +489,53 @@ func (s *Store) OnDel(key []byte) uint64 {
 }
 
 // Barrier blocks until the mutation behind token is durable, per the
-// configured sync policy (the core mutation hook's post-unlock phase).
-// Under SyncAlways the wait joins the group commit; a token from an
-// already-rotated generation returns immediately — rotation syncs and
-// closes the old log before the new one takes over.
-func (s *Store) Barrier(token uint64) {
-	if token == 0 || s.opt.Sync != SyncAlways || s.closed.Load() {
-		return
+// configured sync policy (the core mutation hook's post-unlock phase),
+// and returns the reason when it is not. Under SyncAlways the wait joins
+// the group commit. A token covers every smaller one: within a
+// generation the log syncs in record order, and a token from an
+// already-rotated generation returns at once — rotation syncs and closes
+// the old log before the new one takes over. Token 0 marks a record that
+// could not be logged. A failure is also recorded sticky (the store goes
+// degraded), and under SyncAlways every Barrier reports a standing one,
+// so a caller never takes an unlogged mutation as durable.
+func (s *Store) Barrier(token uint64) error {
+	if s.opt.Sync != SyncAlways || s.closed.Load() {
+		return nil
 	}
-	gen, seq := token>>tokenSeqBits, token&(1<<tokenSeqBits-1)
-	s.logMu.RLock()
-	log := s.log
-	current := s.gen == gen
-	s.logMu.RUnlock()
-	if current {
-		if mx := s.opt.Metrics; mx != nil {
-			t0 := time.Now()
-			defer func() { mx.CommitWaitSeconds.Observe(time.Since(t0)) }()
-		}
-		if err := log.WaitDurable(seq); err != nil {
-			// The record was appended but its fsync failed; the mutating
-			// caller cannot be told, so the condition surfaces on
-			// Err/Flush/Close.
-			s.recordFailure(err, gen)
+	if token != 0 {
+		gen, seq := token>>tokenSeqBits, token&(1<<tokenSeqBits-1)
+		s.logMu.RLock()
+		log := s.log
+		current := s.gen == gen
+		s.logMu.RUnlock()
+		if current {
+			var t0 time.Time
+			mx := s.opt.Metrics
+			if mx != nil {
+				t0 = time.Now()
+			}
+			err := log.WaitDurable(seq)
+			if mx != nil {
+				mx.CommitWaitSeconds.Observe(time.Since(t0))
+			}
+			switch {
+			case err == ErrClosed:
+				// A rotation (or Close) closed the log under the wait. It
+				// syncs while holding logMu, so taking the lock waits
+				// that sync out; a failed close is recorded, and the
+				// degraded check below sees it.
+				s.logMu.RLock()
+				s.logMu.RUnlock()
+			case err != nil:
+				s.recordFailure(err, gen)
+				return err
+			}
 		}
 	}
+	if !s.degraded.Load() {
+		return nil
+	}
+	return s.Err()
 }
 
 // Flush forces every logged record to stable storage, regardless of the

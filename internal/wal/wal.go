@@ -39,10 +39,15 @@ const (
 	// SyncInterval fsyncs from a background flusher every Interval
 	// (default 100ms), bounding loss to one interval.
 	SyncInterval
-	// SyncAlways fsyncs before the store acknowledges each mutation (the
-	// hook's Barrier phase). Concurrent writers share one fsync (group
-	// commit): each waits only for a sync covering its own record, and
-	// one syscall typically retires a whole convoy.
+	// SyncAlways fsyncs before a mutation is acknowledged: Barrier (the
+	// hook's commit phase) returns only once a sync covers the record.
+	// Concurrent writers share one fsync (group commit): each waits only
+	// for a sync covering its own record, and one syscall typically
+	// retires a whole convoy. A caller that applies several mutations
+	// before acknowledging any waits once, on the largest token: a
+	// netkv batch's writes to one shard, or one shard's group of a
+	// SetBatch, cost one fsync. Over the wire the acknowledgement is the
+	// response frame, which the server writes after that wait.
 	SyncAlways
 )
 
