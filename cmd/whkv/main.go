@@ -25,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -68,152 +69,199 @@ func usage() {
 	os.Exit(2)
 }
 
-func serve(args []string) {
+// serveConfig is serve's flags, parsed and validated once for both the
+// leader and the follower mode.
+type serveConfig struct {
+	addr, index, follow, metricsAddr string
+	// store carries -dir, -shards, -bounds and the WAL flags (-sync,
+	// -seg-bytes, -decode-workers); storeOptions completes it.
+	store shard.Options
+	// server carries -read-timeout, -write-timeout and -max-inflight.
+	server           netkv.ServerOptions
+	slowOp           time.Duration
+	connectTimeout   time.Duration
+	autoPromote      bool
+	heartbeatTimeout time.Duration
+}
+
+// parseServe parses serve's flags and rejects the combinations in which a
+// flag would be silently ignored.
+func parseServe(args []string) (serveConfig, error) {
+	var c serveConfig
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7070", "listen address")
-	name := fs.String("index", "wormhole", "index implementation")
-	shards := fs.Int("shards", 0, "shard count for -index wormhole-sharded (default: min(GOMAXPROCS, 16))")
+	fs.StringVar(&c.addr, "addr", "127.0.0.1:7070", "listen address")
+	fs.StringVar(&c.index, "index", "wormhole", "index implementation")
+	fs.IntVar(&c.store.Shards, "shards", 0, "shard count for -index wormhole-sharded (default: min(GOMAXPROCS, 16))")
 	bounds := fs.String("bounds", "", "comma-separated shard boundary keys for -index wormhole-sharded (overrides -shards; place them at your keyspace's quantiles, since the default uniform byte ranges put all-ASCII keys in one shard)")
-	dir := fs.String("dir", "", "durable mode: persist to this directory (WAL + snapshots per shard; reopening recovers). Implies a sharded store; -index must be wormhole-sharded or unset")
+	fs.StringVar(&c.store.Dir, "dir", "", "durable mode: persist to this directory (WAL + snapshots per shard; reopening recovers). Implies a sharded store; -index must be wormhole-sharded or unset")
 	syncMode := fs.String("sync", "none", "durable mode sync policy: none, interval or always")
-	segBytes := fs.Int("seg-bytes", 0, "durable mode: target snapshot segment size in bytes (0: 1MiB default); v2 snapshots split at this size so recovery decodes segments concurrently")
-	decodeWorkers := fs.Int("decode-workers", 0, "durable mode: snapshot segment decode workers per shard at recovery (0: GOMAXPROCS)")
-	snapV1 := fs.Bool("snap-v1", false, "durable mode: write monolithic v1 snapshots instead of v2 segments (both formats always recoverable)")
-	follow := fs.String("follow", "", "follower mode: replicate from this leader address, serve reads (writes answer StatusReadOnly); SIGUSR1 promotes to standalone. Combine with -dir so restarts resume the leader's WAL tail instead of resyncing")
-	connectTimeout := fs.Duration("connect-timeout", 0, "follower mode: keep retrying the first leader handshake this long before giving up and exiting non-zero (0: one attempt, fail fast)")
-	autoPromote := fs.Bool("auto-promote", false, "follower mode: promote automatically when the leader goes silent for -heartbeat-timeout, bumping the replication epoch so the old leader is fenced on first contact")
-	heartbeatTimeout := fs.Duration("heartbeat-timeout", 2*time.Second, "follower mode: leader silence that triggers -auto-promote")
-	readTimeout := fs.Duration("read-timeout", 0, "drop a connection idle longer than this between batches (0: never)")
-	writeTimeout := fs.Duration("write-timeout", 0, "drop a connection that cannot absorb a response within this (0: never)")
-	maxInflight := fs.Int("max-inflight", 0, "max concurrently executing request batches across all connections; excess connections queue (0: unlimited)")
-	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics, /healthz, /debug/pprof and /debug/slowops on this address (empty: no listener; metrics are still recorded)")
-	slowOp := fs.Duration("slow-op", 100*time.Millisecond, "ops slower than this land in the slow-op ring (/debug/slowops and whkv stat)")
+	fs.IntVar(&c.store.Durability.SegmentBytes, "seg-bytes", 0, "durable mode: target snapshot segment size in bytes (0: 1MiB default); snapshots split at this size so recovery decodes segments concurrently")
+	fs.IntVar(&c.store.Durability.DecodeWorkers, "decode-workers", 0, "durable mode: snapshot segment decode workers per shard at recovery (0: GOMAXPROCS)")
+	fs.StringVar(&c.follow, "follow", "", "follower mode: replicate from this leader address, serve reads (writes answer StatusReadOnly); SIGUSR1 promotes to standalone. Combine with -dir so restarts resume the leader's WAL tail instead of resyncing")
+	fs.DurationVar(&c.connectTimeout, "connect-timeout", 0, "follower mode: keep retrying the first leader handshake this long before giving up and exiting non-zero (0: one attempt, fail fast)")
+	fs.BoolVar(&c.autoPromote, "auto-promote", false, "follower mode: promote automatically when the leader goes silent for -heartbeat-timeout, bumping the replication epoch so the old leader is fenced on first contact")
+	fs.DurationVar(&c.heartbeatTimeout, "heartbeat-timeout", 2*time.Second, "follower mode: leader silence that triggers -auto-promote")
+	fs.DurationVar(&c.server.ReadTimeout, "read-timeout", 0, "drop a connection idle longer than this between batches (0: never)")
+	fs.DurationVar(&c.server.WriteTimeout, "write-timeout", 0, "drop a connection that cannot absorb a response within this (0: never)")
+	fs.IntVar(&c.server.MaxInflight, "max-inflight", 0, "max concurrently executing request batches across all connections; excess connections queue (0: unlimited)")
+	fs.StringVar(&c.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics, /healthz, /debug/pprof and /debug/slowops on this address (empty: no listener; metrics are still recorded)")
+	fs.DurationVar(&c.slowOp, "slow-op", 100*time.Millisecond, "ops slower than this land in the slow-op ring (/debug/slowops and whkv stat)")
 	fs.Parse(args)
-	obs := newObservability(*slowOp)
-	hardening := netkv.ServerOptions{
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
-		MaxInflight:  *maxInflight,
-		Metrics:      obs.srv,
+	policy, err := wal.ParsePolicy(*syncMode)
+	if err != nil {
+		return c, err
 	}
-	if *follow != "" {
-		serveFollower(followerConfig{
-			addr: *addr, leader: *follow, dir: *dir, syncMode: *syncMode,
-			segBytes: *segBytes, decodeWorkers: *decodeWorkers, snapV1: *snapV1,
-			connectTimeout: *connectTimeout, autoPromote: *autoPromote,
-			heartbeatTimeout: *heartbeatTimeout, hardening: hardening,
-			metricsAddr: *metricsAddr, obs: obs,
-		})
-		return
-	}
-	if *dir == "" && (*shards > 0 || *bounds != "") && *name != "wormhole-sharded" {
+	c.store.Durability.Sync = policy
+	_, known := index.Lookup(c.index)
+	switch {
+	case c.follow != "" && (c.store.Shards > 0 || *bounds != "" || c.index != "wormhole"):
+		return c, errors.New("-shards, -bounds and -index do not apply with -follow: a follower takes its index and shard boundaries from the leader")
+	case c.store.Dir == "" && (c.store.Shards > 0 || *bounds != "") && c.index != "wormhole-sharded":
 		// With -dir the store is always sharded, so -shards/-bounds apply
 		// to it regardless of the (defaulted) -index value.
-		fmt.Fprintf(os.Stderr, "whkv: -shards and -bounds require -index wormhole-sharded\n")
-		os.Exit(2)
+		return c, errors.New("-shards and -bounds require -index wormhole-sharded")
+	case c.store.Dir != "" && c.index != "wormhole" && c.index != "wormhole-sharded":
+		return c, fmt.Errorf("-dir serves a durable sharded wormhole; it cannot host -index %s", c.index)
+	case !known:
+		return c, fmt.Errorf("unknown index %q", c.index)
 	}
-	if *dir != "" && *name != "wormhole" && *name != "wormhole-sharded" {
-		fmt.Fprintf(os.Stderr, "whkv: -dir serves a durable sharded wormhole; it cannot host -index %s\n", *name)
-		os.Exit(2)
-	}
-	if *shards > 0 {
-		shard.DefaultShards = *shards
-	}
-	parseBounds := func() *shard.Partitioner {
+	if *bounds != "" {
 		var bs [][]byte
 		for _, b := range strings.Split(*bounds, ",") {
 			bs = append(bs, []byte(strings.TrimSpace(b)))
 		}
-		return shard.NewExplicit(bs)
+		c.store.Partitioner = shard.NewExplicit(bs)
 	}
-	var ix index.Index
-	var durable *shard.Store
-	served := *name
-	switch {
-	case *dir != "":
-		policy, err := wal.ParsePolicy(*syncMode)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "whkv:", err)
-			os.Exit(2)
-		}
-		o := shard.Options{Dir: *dir, Durability: wal.Options{
-			Sync:          policy,
-			SegmentBytes:  *segBytes,
-			DecodeWorkers: *decodeWorkers,
-			SnapshotV1:    *snapV1,
-			Metrics:       obs.wal,
-		}}
-		if *bounds != "" {
-			o.Partitioner = parseBounds()
-		}
-		st, err := shard.Open(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "whkv:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("whkv: recovered %d snapshot pairs + %d WAL records from %s\n",
-			st.RecoveredPairs(), st.RecoveredRecords(), *dir)
-		ix, durable = st, st
-		served = fmt.Sprintf("durable wormhole-sharded (%d shards, sync=%s, replication leader)",
-			st.NumShards(), policy)
-	case *bounds != "":
-		ix = shard.New(shard.Options{Partitioner: parseBounds()})
-		served = "wormhole-sharded"
-	default:
-		info, ok := index.Lookup(*name)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "whkv: unknown index %q\n", *name)
-			os.Exit(2)
-		}
-		ix = info.New()
+	return c, nil
+}
+
+// storeOptions is the store configuration both modes open with: the
+// flags' shape and WAL knobs, recording into mx.
+func (c serveConfig) storeOptions(mx *wal.Metrics) shard.Options {
+	o := c.store
+	o.Durability.Metrics = mx
+	return o
+}
+
+// node is one opened serve mode: the index to serve and the mode's parts
+// of the serve/shutdown sequence that serve runs for both.
+type node struct {
+	ix   index.Index
+	opts netkv.ServerOptions // serveConfig.server plus the mode's fields
+	// banner describes the node given its listen address.
+	banner func(addr string) string
+	// started, when set, runs once the server listens.
+	started func(*netkv.Server)
+	// promote, when set, handles SIGUSR1; otherwise the signal keeps its
+	// default action.
+	promote func(*netkv.Server)
+	// stop, when set, drains the server and releases what the mode owns,
+	// in the mode's order; otherwise the server is just drained.
+	stop func(*netkv.Server) error
+}
+
+func serve(args []string) {
+	c, err := parseServe(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "whkv:", err)
+		os.Exit(2)
 	}
-	// A durable store doubles as a replication leader: followers subscribe
-	// on the same address clients use.
-	opts := hardening
-	var src *repl.Source
-	if durable != nil {
-		src = repl.NewSource(durable)
-		opts.Subscribe = src.ServeSubscriber
-		opts.StatFill = src.FillStat
+	obs := newObservability(c.slowOp)
+	c.server.Metrics = obs.srv
+	var n node
+	if c.follow != "" {
+		n = openFollower(c, obs)
+	} else {
+		n = openLeader(c, obs)
 	}
-	srv, err := netkv.ServeOpts(*addr, ix, opts)
+	srv, err := netkv.ServeOpts(c.addr, n.ix, n.opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "whkv:", err)
 		os.Exit(1)
 	}
-	obs.armIndex(ix)
+	if n.started != nil {
+		n.started(srv)
+	}
+	obs.armIndex(n.ix)
 	health := func() error { return nil }
-	if st, ok := ix.(*shard.Store); ok {
+	st, isStore := n.ix.(*shard.Store)
+	if isStore {
 		obs.armStore(st)
 		health = storeHealth(st)
 	}
-	if src != nil {
-		obs.armLeader(src.FillStat)
-	}
-	obs.serveDebug(*metricsAddr, health)
-	fmt.Printf("whkv: serving %s on %s\n", served, srv.Addr())
-	// Run until killed; on SIGINT/SIGTERM drain connections and, in
-	// durable mode, flush and close the WALs so a clean shutdown loses
-	// nothing even under -sync none.
-	sig := make(chan os.Signal, 1)
+	obs.serveDebug(c.metricsAddr, health)
+	fmt.Println("whkv:", n.banner(srv.Addr()))
+
+	// Run until SIGINT/SIGTERM, then drain connections and close the
+	// store, so a clean shutdown of a durable store loses nothing even
+	// under -sync none.
+	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("whkv: shutting down")
-	if src != nil {
-		// Subscriber streams hold their connection handlers; detach them
-		// first or the server's drain would wait forever.
-		src.Close()
+	if n.promote != nil {
+		signal.Notify(sig, syscall.SIGUSR1)
 	}
-	srv.Close()
-	if durable != nil {
-		if err := durable.Close(); err != nil {
-			// The sticky WAL error means acked writes may not have reached
-			// stable storage: say which shards, then exit non-zero so
-			// supervisors notice the data loss risk.
-			fmt.Fprintln(os.Stderr, "whkv: closing store:", err)
-			printDegraded(durable.Health())
-			os.Exit(1)
+	for s := range sig {
+		if s != syscall.SIGUSR1 {
+			break
 		}
+		n.promote(srv)
+	}
+	fmt.Println("whkv: shutting down")
+	if n.stop == nil {
+		srv.Close()
+		return
+	}
+	if err := n.stop(srv); err != nil {
+		// The sticky WAL error means acked writes may not have reached
+		// stable storage: say which shards, then exit non-zero so
+		// supervisors notice the data loss risk.
+		fmt.Fprintln(os.Stderr, "whkv: closing store:", err)
+		printDegraded(st.Health())
+		os.Exit(1)
+	}
+}
+
+// openLeader opens the index a leader serves: a durable sharded store
+// with -dir, which doubles as a replication leader, or else a volatile
+// index.
+func openLeader(c serveConfig, obs *observability) node {
+	if c.store.Dir == "" {
+		var ix index.Index
+		if c.index == "wormhole-sharded" {
+			ix = shard.New(c.store)
+		} else {
+			info, _ := index.Lookup(c.index)
+			ix = info.New()
+		}
+		return node{ix: ix, opts: c.server,
+			banner: func(addr string) string { return "serving " + c.index + " on " + addr }}
+	}
+	st, err := shard.Open(c.storeOptions(obs.wal))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "whkv:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("whkv: recovered %d snapshot pairs + %d WAL records from %s\n",
+		st.RecoveredPairs(), st.RecoveredRecords(), c.store.Dir)
+	// Followers subscribe on the same address clients use.
+	src := repl.NewSource(st)
+	obs.armLeader(src.FillStat)
+	opts := c.server
+	opts.Subscribe, opts.StatFill = src.ServeSubscriber, src.FillStat
+	return node{
+		ix:   st,
+		opts: opts,
+		banner: func(addr string) string {
+			return fmt.Sprintf("serving durable wormhole-sharded (%d shards, sync=%s, replication leader) on %s",
+				st.NumShards(), c.store.Durability.Sync, addr)
+		},
+		stop: func(srv *netkv.Server) error {
+			// Subscriber streams hold their connection handlers; detach
+			// them first or the server's drain would wait forever.
+			src.Close()
+			srv.Close()
+			return st.Close()
+		},
 	}
 }
 
@@ -227,75 +275,49 @@ func printDegraded(hs []wal.Health) {
 	}
 }
 
-// followerConfig bundles serveFollower's knobs.
-type followerConfig struct {
-	addr, leader, dir, syncMode string
-	segBytes, decodeWorkers     int
-	snapV1                      bool
-	connectTimeout              time.Duration
-	autoPromote                 bool
-	heartbeatTimeout            time.Duration
-	hardening                   netkv.ServerOptions
-	metricsAddr                 string
-	obs                         *observability
-}
-
-// serveFollower runs replication-follower mode: stream the leader's WAL
-// into a local store, serve reads from it, reject writes, and promote to
-// a writable standalone store on SIGUSR1 — or automatically on leader
-// silence with -auto-promote, which bumps the replication epoch so the old
-// leader is fenced on first contact with the new lineage.
-func serveFollower(c followerConfig) {
-	policy, err := wal.ParsePolicy(c.syncMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "whkv:", err)
-		os.Exit(2)
-	}
+// openFollower starts replication-follower mode: stream the leader's WAL
+// into a local store and serve reads from it, rejecting writes, until a
+// promotion to a writable standalone store — on SIGUSR1, or automatically
+// on leader silence with -auto-promote, which bumps the replication epoch
+// so the old leader is fenced on first contact with the new lineage.
+func openFollower(c serveConfig, obs *observability) node {
 	// Auto-promotion may fire from the follower's monitor goroutine before
-	// the serving socket below exists; the promotion handler waits for it.
-	var srvP atomic.Pointer[netkv.Server]
-	srvReady := make(chan struct{})
-	var autoPromoted atomic.Bool
-	promotions := c.obs.reg.Counter("whkv_promotions_total",
+	// the serving socket exists; the promotion handler waits for it.
+	var served *netkv.Server
+	srvReady := make(chan struct{}) // closed once served is set
+	// promoted transfers ownership of the store from the follower to us.
+	var promoted atomic.Bool
+	promotions := obs.reg.Counter("whkv_promotions_total",
 		"Promotions of this follower to a writable leader.")
+	so := c.storeOptions(obs.wal)
 	o := repl.Options{
-		Leader: c.leader,
-		Dir:    c.dir,
-		Durability: wal.Options{
-			Sync:          policy,
-			SegmentBytes:  c.segBytes,
-			DecodeWorkers: c.decodeWorkers,
-			SnapshotV1:    c.snapV1,
-			Metrics:       c.obs.wal,
-		},
+		Leader:           c.follow,
+		Dir:              so.Dir,
+		Durability:       so.Durability,
+		AutoPromote:      c.autoPromote,
+		HeartbeatTimeout: c.heartbeatTimeout,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "whkv: "+format+"\n", args...)
 		},
-	}
-	if c.autoPromote {
-		o.AutoPromote = true
-		o.HeartbeatTimeout = c.heartbeatTimeout
-		o.OnPromote = func(st *shard.Store) {
+		OnPromote: func(st *shard.Store) {
 			<-srvReady
-			if srv := srvP.Load(); srv != nil {
-				srv.SetReadOnly(false)
-			}
-			autoPromoted.Store(true)
+			served.SetReadOnly(false)
+			promoted.Store(true)
 			promotions.Inc()
 			fmt.Printf("whkv: leader %s silent for %v: auto-promoted to epoch %d (writes enabled)\n",
-				c.leader, c.heartbeatTimeout, st.Epoch())
+				c.follow, c.heartbeatTimeout, st.Epoch())
 			// Best-effort fence of the old leader, should it still be alive
 			// behind a partition: a direct FENCE closes the window before
 			// replication-level contact would. Failure is fine — a dead
 			// leader is fenced on its first contact with this lineage.
-			if cl, err := netkv.Dial(c.leader); err == nil {
+			if cl, err := netkv.Dial(c.follow); err == nil {
 				cl.Timeout = 2 * time.Second
 				if err := cl.Fence(st.Epoch()); err == nil {
-					fmt.Printf("whkv: fenced old leader %s at epoch %d\n", c.leader, st.Epoch())
+					fmt.Printf("whkv: fenced old leader %s at epoch %d\n", c.follow, st.Epoch())
 				}
 				cl.Close()
 			}
-		}
+		},
 	}
 	// -connect-timeout: the first handshake may race the leader's own
 	// startup (an init system bringing both up), so retry it rather than
@@ -309,72 +331,54 @@ func serveFollower(c followerConfig) {
 		f, err = repl.Start(o)
 	}
 	if err != nil {
-		close(srvReady)
 		fmt.Fprintln(os.Stderr, "whkv:", err)
 		os.Exit(1)
 	}
 	st := f.Store()
-	opts := c.hardening
-	opts.ReadOnly = true
-	opts.StatFill = f.FillStat
-	srv, err := netkv.ServeOpts(c.addr, st, opts)
-	if err != nil {
-		close(srvReady)
-		fmt.Fprintln(os.Stderr, "whkv:", err)
-		os.Exit(1)
-	}
-	srvP.Store(srv)
-	close(srvReady)
-	c.obs.armIndex(st)
-	c.obs.armStore(st)
-	c.obs.armFollower(f.FillStat)
-	c.obs.serveDebug(c.metricsAddr, storeHealth(st))
+	obs.armFollower(f.FillStat)
 	persisted := "volatile; resyncs on restart"
-	if c.dir != "" {
-		persisted = "durable in " + c.dir
+	if so.Dir != "" {
+		persisted = "durable in " + so.Dir
 	}
 	promoteHow := "SIGUSR1 promotes"
 	if c.autoPromote {
 		promoteHow = fmt.Sprintf("auto-promote after %v of leader silence (SIGUSR1 forces it)", c.heartbeatTimeout)
 	}
-	fmt.Printf("whkv: following %s on %s (%d shards, %s); %s\n",
-		c.leader, srv.Addr(), st.NumShards(), persisted, promoteHow)
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
-	promoted := false
-	for s := range sig {
-		if s == syscall.SIGUSR1 && !promoted && !autoPromoted.Load() {
+	opts := c.server
+	opts.ReadOnly, opts.StatFill = true, f.FillStat
+	return node{
+		ix:   st,
+		opts: opts,
+		banner: func(addr string) string {
+			return fmt.Sprintf("following %s on %s (%d shards, %s); %s",
+				c.follow, addr, st.NumShards(), persisted, promoteHow)
+		},
+		started: func(srv *netkv.Server) {
+			served = srv
+			close(srvReady)
+		},
+		promote: func(srv *netkv.Server) {
 			// Clean promotion: stop streaming, bump the epoch, then open
 			// the store to writes. The process keeps serving without a
 			// restart. Promote is idempotent against a racing
 			// auto-promotion — exactly one epoch bump happens.
-			if f.Promote() != nil {
+			if !promoted.Load() && f.Promote() != nil {
 				srv.SetReadOnly(false)
-				promoted = true
+				promoted.Store(true)
 				promotions.Inc()
 				fmt.Printf("whkv: promoted to epoch %d (writes enabled, replication stopped)\n", st.Epoch())
 			}
-			continue
-		}
-		if s == syscall.SIGUSR1 {
-			continue
-		}
-		break
-	}
-	fmt.Println("whkv: shutting down")
-	srv.Close()
-	// Close the follower first: it stops the auto-promote monitor, so the
-	// promotion state is final when deciding who owns the store (a
-	// promotion — manual or automatic — transferred ownership to us).
-	err = f.Close()
-	if promoted || autoPromoted.Load() {
-		err = st.Close()
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "whkv: closing store:", err)
-		printDegraded(st.Health())
-		os.Exit(1)
+		},
+		stop: func(srv *netkv.Server) error {
+			srv.Close()
+			// Closing the follower stops the auto-promote monitor, so the
+			// promotion state is final when deciding who owns the store.
+			err := f.Close()
+			if promoted.Load() {
+				err = st.Close()
+			}
+			return err
+		},
 	}
 }
 
@@ -491,65 +495,50 @@ func oneShot(cmd string, args []string) {
 		fmt.Fprintln(os.Stderr, "whkv:", err)
 		os.Exit(1)
 	}
-	r := rs[0]
-	switch cmd {
-	case "get":
-		if r.Status == netkv.StatusOK {
-			fmt.Printf("%s\n", r.Val)
-		} else {
-			fmt.Println("(not found)")
-		}
-	case "set":
-		switch r.Status {
-		case netkv.StatusOK:
-			fmt.Println("ok")
-		case netkv.StatusReadOnly:
-			fmt.Fprintln(os.Stderr, "whkv: server is a read-only follower; write to the leader")
-			os.Exit(1)
-		case netkv.StatusDegraded:
-			fmt.Fprintln(os.Stderr, "whkv: shard is degraded (WAL write failing); refusing writes until it heals — see whkv stat")
-			os.Exit(1)
-		case netkv.StatusFenced:
-			fmt.Fprintln(os.Stderr, "whkv: server is a fenced stale leader (a higher epoch exists); the write was NOT applied — resend it to the current leader (see whkv stat for both epochs)")
-			os.Exit(1)
-		default:
-			fmt.Fprintln(os.Stderr, "whkv: set failed on the server")
-			os.Exit(1)
-		}
-	case "del":
-		switch r.Status {
-		case netkv.StatusOK:
-			fmt.Println("deleted")
-		case netkv.StatusReadOnly:
-			fmt.Fprintln(os.Stderr, "whkv: server is a read-only follower; write to the leader")
-			os.Exit(1)
-		case netkv.StatusDegraded:
-			fmt.Fprintln(os.Stderr, "whkv: shard is degraded (WAL write failing); refusing writes until it heals — see whkv stat")
-			os.Exit(1)
-		case netkv.StatusFenced:
-			fmt.Fprintln(os.Stderr, "whkv: server is a fenced stale leader (a higher epoch exists); the delete was NOT applied — resend it to the current leader (see whkv stat for both epochs)")
-			os.Exit(1)
-		case netkv.StatusErr:
-			fmt.Fprintln(os.Stderr, "whkv: delete failed on the server")
-			os.Exit(1)
-		default:
-			fmt.Println("(not found)")
-		}
-	case "scan":
-		for i := range r.Keys {
-			fmt.Printf("%s = %s\n", r.Keys[i], r.Vals[i])
-		}
-	case "flush":
-		switch r.Status {
-		case netkv.StatusOK:
-			fmt.Println("flushed")
-		case netkv.StatusNotFound:
-			fmt.Println("(server is volatile)")
-		default:
-			fmt.Fprintln(os.Stderr, "whkv: flush failed on the server (sticky WAL error; see whkv stat for per-shard health)")
-			os.Exit(1)
-		}
+	out, code := outcome(cmd, rs[0])
+	if code != 0 {
+		fmt.Fprintln(os.Stderr, "whkv:", out)
+		os.Exit(code)
 	}
+	fmt.Print(out)
+}
+
+// outcome maps a one-shot command's reply to what whkv reports: the text
+// for stdout and exit code 0, or an error message for stderr and exit
+// code 1.
+func outcome(cmd string, r netkv.Response) (string, int) {
+	write := cmd == "set" || cmd == "del"
+	what := map[string]string{"set": "write", "del": "delete"}[cmd]
+	switch {
+	case r.Status == netkv.StatusOK:
+		switch cmd {
+		case "get":
+			return string(r.Val) + "\n", 0
+		case "scan":
+			var b strings.Builder
+			for i := range r.Keys {
+				fmt.Fprintf(&b, "%s = %s\n", r.Keys[i], r.Vals[i])
+			}
+			return b.String(), 0
+		}
+		return map[string]string{"set": "ok\n", "del": "deleted\n", "flush": "flushed\n"}[cmd], 0
+	case r.Status == netkv.StatusNotFound && cmd != "set":
+		// A scan answers NotFound when the index cannot range-scan.
+		return map[string]string{"get": "(not found)\n", "del": "(not found)\n", "flush": "(server is volatile)\n"}[cmd], 0
+	case r.Status == netkv.StatusReadOnly && write:
+		return "server is a read-only follower; write to the leader", 1
+	case r.Status == netkv.StatusDegraded && write:
+		return "shard is degraded (WAL write failing); refusing writes until it heals — see whkv stat", 1
+	case r.Status == netkv.StatusFenced && write:
+		return "server is a fenced stale leader (a higher epoch exists); the " + what + " was NOT applied — resend it to the current leader (see whkv stat for both epochs)", 1
+	case cmd == "flush":
+		return "flush failed on the server (sticky WAL error; see whkv stat for per-shard health)", 1
+	case cmd == "get":
+		return "get failed on the server (a failing shard, or a value too large for one response)", 1
+	case cmd == "del":
+		return "delete failed on the server", 1
+	}
+	return cmd + " failed on the server", 1
 }
 
 func clientBench(args []string) {

@@ -34,8 +34,8 @@ func init() {
 		Name: "wormhole", ThreadSafe: true, RangeScan: true,
 		New: func() index.Index { return wh(core.DefaultOptions()) },
 	})
-	// The sharded store reads shard.DefaultShards at construction time so
-	// the cmd -shards flags can size it before instantiation.
+	// The registry entry is the default-sized sharded store; callers that
+	// need another shard count build it with shard.New directly.
 	index.Register(index.Info{
 		Name: "wormhole-sharded", ThreadSafe: true, RangeScan: true,
 		New: func() index.Index { return shard.New(shard.Options{}) },

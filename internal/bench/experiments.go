@@ -47,7 +47,7 @@ func Experiments() []struct {
 		{"batchread", "batched reads: scalar loop vs prefetch-interleaved GetBatch pipeline (perf trajectory)", BatchRead},
 		{"scanpath", "range-scan path: lock-free vs locked, plain vs pinned (perf trajectory)", ScanPath},
 		{"durability", "durable store: volatile vs WAL sync policies, plus recovery rate (extension)", Durability},
-		{"recovery", "snapshot format v2: recovery rate and file size vs v1, segment size × decode workers (perf trajectory)", Recovery},
+		{"recovery", "snapshot format v2: recovery rate and file size, segment size × decode workers (perf trajectory)", Recovery},
 		{"replication", "leader→follower WAL shipping: steady lag, catch-up, follower reads (extension)", Replication},
 		{"failover", "leader kill → auto-promotion: time to writable, client-observed gap (extension)", Failover},
 	}

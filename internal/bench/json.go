@@ -24,8 +24,8 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Bytes carries an experiment-specific size figure — for recovery,
-	// the snapshot's total on-disk bytes (footer + segments, or the v1
-	// monolithic file), so the trajectory tracks file size next to speed.
+	// the snapshot's total on-disk bytes (footer + segments), so the
+	// trajectory tracks file size next to speed.
 	Bytes int64 `json:"bytes,omitempty"`
 	// P50Ns/P99Ns/P999Ns are wall-clock latency percentiles in
 	// nanoseconds from the metrics histogram, measured in a separate

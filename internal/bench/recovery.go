@@ -11,21 +11,18 @@ import (
 	"github.com/repro/wormhole/internal/wal"
 )
 
-// Recovery measures what the v2 segmented snapshot format buys at
-// restart, on the common-prefix Url keyset where prefix compression has
-// something to compress:
-//
-//   - "v1 w=1": the monolithic uncompressed snapshot, the PR-4 baseline;
-//   - "v2 seg=... w=N": prefix-compressed segments at each segment-size
-//     and decode-worker point.
+// Recovery measures restart from a v2 segmented snapshot on the
+// common-prefix Url keyset, where prefix compression has something to
+// compress: one "v2 seg=... w=N" row per segment-size and decode-worker
+// point.
 //
 // Every variant builds the same store — 90% of the keyset in the
 // snapshot, the last 10% as a WAL tail, the state a periodically
 // snapshotting server restarts with — then closes and times the reopen.
 // Rows report recovered pairs per second (MOPS), seconds per million
 // keys, and the snapshot's on-disk bytes (Result.Bytes), so one run
-// answers both trajectory questions: is v2 recovery faster, and are its
-// files smaller.
+// answers both trajectory questions: how fast recovery is, and how large
+// its files are.
 //
 // Config.SegBytes adds a segment size to the default {256KiB, 1MiB}
 // ladder; Config.DecodeWorkers adds a worker count to {1, 2, 8}.
@@ -55,32 +52,15 @@ func Recovery(c *Config) {
 		sort.Ints(workerCounts)
 	}
 
-	type variant struct {
-		label   string
-		build   wal.Options
-		workers []int
-	}
-	variants := []variant{
-		// Decode workers cannot touch a monolithic v1 snapshot: one row.
-		{"v1", wal.Options{SnapshotV1: true}, []int{1}},
-	}
-	for _, sb := range segSizes {
-		variants = append(variants, variant{
-			label:   fmt.Sprintf("v2 seg=%dKiB", sb>>10),
-			build:   wal.Options{SegmentBytes: sb},
-			workers: workerCounts,
-		})
-	}
-
 	c.printf("recovery: keyset Url, %d keys, 90%% snapshot + 10%% WAL tail\n", len(keys))
 	c.printf("%-22s %10s %12s %12s %10s\n",
 		"format", "MOPS", "s/Mkeys", "snap bytes", "segments")
 	cut := len(keys) * 9 / 10
-	for _, v := range variants {
-		dir := filepath.Join(root, sanitize(v.label))
-		build := v.build
-		build.Sync = wal.SyncNone
-		st, err := shard.Open(shard.Options{Dir: dir, Sample: keys, Durability: build})
+	for _, sb := range segSizes {
+		label := fmt.Sprintf("v2 seg=%dKiB", sb>>10)
+		dir := filepath.Join(root, sanitize(label))
+		st, err := shard.Open(shard.Options{Dir: dir, Sample: keys,
+			Durability: wal.Options{Sync: wal.SyncNone, SegmentBytes: sb}})
 		if err != nil {
 			c.printf("recovery: open %s: %v\n", dir, err)
 			return
@@ -98,7 +78,7 @@ func Recovery(c *Config) {
 		}
 		snapBytes := snapshotBytes(dir)
 
-		for _, w := range v.workers {
+		for _, w := range workerCounts {
 			start := time.Now()
 			st2, err := shard.Open(shard.Options{
 				Dir:        dir,
@@ -110,14 +90,14 @@ func Recovery(c *Config) {
 				return
 			}
 			if int(st2.Count()) != len(keys) {
-				c.printf("recovery: %s lost keys: %d != %d\n", v.label, st2.Count(), len(keys))
+				c.printf("recovery: %s lost keys: %d != %d\n", label, st2.Count(), len(keys))
 				st2.Close()
 				return
 			}
 			segs := st2.RecoveredSegments()
 			st2.Close()
 			mops := float64(len(keys)) / el.Seconds() / 1e6
-			op := fmt.Sprintf("%s w=%d", v.label, w)
+			op := fmt.Sprintf("%s w=%d", label, w)
 			c.printf("%-22s %10.2f %12.2f %12d %10d\n",
 				op, mops, el.Seconds()*1e6/float64(len(keys)), snapBytes, segs)
 			c.record(Result{
@@ -130,8 +110,8 @@ func Recovery(c *Config) {
 }
 
 // snapshotBytes sums the on-disk size of every snapshot artifact under
-// dir — the v1/v2 .snap files (monolithic pairs or the v2 footer) and
-// the v2 .seg segment files — across all shard subdirectories.
+// dir — the .snap footers and the .seg segment files — across all shard
+// subdirectories.
 func snapshotBytes(dir string) int64 {
 	var n int64
 	filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {

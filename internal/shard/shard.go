@@ -27,12 +27,9 @@ import (
 	"github.com/repro/wormhole/internal/wal"
 )
 
-// DefaultShards is the shard count used when Options.Shards is zero; the
-// cmd/whbench and cmd/whkv -shards flags override it. One shard per
-// available CPU (capped like the paper's 16-core NUMA node) is the
-// starting point the shard-sweep bench experiment refines.
-var DefaultShards = defaultShards()
-
+// defaultShards is the shard count used when Options.Shards is zero: one
+// shard per available CPU, capped like the paper's 16-core NUMA node, is
+// the starting point the shard-sweep bench experiment refines.
 func defaultShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 16 {
@@ -49,10 +46,10 @@ func defaultShards() int {
 // handoff costs more than it saves.
 const parallelBatch = 256
 
-// Options configures a Store. The zero value selects DefaultShards
+// Options configures a Store. The zero value selects min(GOMAXPROCS, 16)
 // uniform-range shards of default-configured Wormholes.
 type Options struct {
-	// Shards is the number of partitions (default DefaultShards).
+	// Shards is the number of partitions (0: min(GOMAXPROCS, 16)).
 	Shards int
 	// Sample, when non-empty, supplies keys representative of the
 	// workload; boundaries are placed at sampled-anchor quantiles
@@ -102,7 +99,7 @@ type Store struct {
 // New creates an empty sharded store.
 func New(o Options) *Store {
 	if o.Shards <= 0 {
-		o.Shards = DefaultShards
+		o.Shards = defaultShards()
 	}
 	if o.Core == (core.Options{}) {
 		o.Core = core.DefaultOptions()

@@ -322,8 +322,8 @@ func TestConcurrentBatchedStress(t *testing.T) {
 
 func TestZeroOptionsDefaults(t *testing.T) {
 	st := New(Options{})
-	if st.NumShards() != DefaultShards {
-		t.Fatalf("NumShards = %d, want DefaultShards = %d", st.NumShards(), DefaultShards)
+	if st.NumShards() != defaultShards() {
+		t.Fatalf("NumShards = %d, want defaultShards() = %d", st.NumShards(), defaultShards())
 	}
 	st.Set([]byte("k"), []byte("v"))
 	if v, ok := st.Get([]byte("k")); !ok || string(v) != "v" {

@@ -224,22 +224,11 @@ func FuzzSegmentLoad(f *testing.F) {
 // must be strictly ascending and bulk-loadable.
 func FuzzSnapshotLoad(f *testing.F) {
 	seed := func(pairs ...string) []byte {
-		dir := f.TempDir()
-		p := filepath.Join(dir, "s.snap")
-		if err := WriteSnapshot(p, func(fn func(k, v []byte) bool) {
-			for i := 0; i+1 < len(pairs); i += 2 {
-				if !fn([]byte(pairs[i]), []byte(pairs[i+1])) {
-					return
-				}
-			}
-		}); err != nil {
-			f.Fatal(err)
+		var keys, vals [][]byte
+		for i := 0; i+1 < len(pairs); i += 2 {
+			keys, vals = append(keys, []byte(pairs[i])), append(vals, []byte(pairs[i+1]))
 		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return data
+		return encodeV1(keys, vals)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("WHSNAP1\n"))
@@ -250,12 +239,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(long[:len(long)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		p := filepath.Join(dir, "f.snap")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Skip()
-		}
-		keys, vals, err := LoadSnapshot(p)
+		keys, vals, err := loadSnapshotBytes(data)
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}

@@ -1,14 +1,18 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/repro/wormhole/internal/vfs"
 )
 
-// Format-compatibility suite: stores written by the v1 code path must
+// Format-compatibility suite: stores written by pre-v2 binaries must
 // recover byte-identically through the current loader, directories
 // mixing v1 and v2 generations must recover from the newest valid one,
 // and a v2 footer whose segment set is incomplete must fall back to the
@@ -23,22 +27,47 @@ func scanAll(b Backend) []string {
 	return out
 }
 
+// encodeV1 returns the v1 monolithic snapshot image of the given
+// ascending pairs, byte-for-byte what binaries before snapshot v2 wrote.
+func encodeV1(keys, vals [][]byte) []byte {
+	b := binary.LittleEndian.AppendUint64(append([]byte(nil), snapMagic...), uint64(len(keys)))
+	for i := range keys {
+		b = binary.AppendUvarint(b, uint64(len(keys[i])))
+		b = binary.AppendUvarint(b, uint64(len(vals[i])))
+		b = append(append(b, keys[i]...), vals[i]...)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// TestV1WrittenStoreRecoversThroughCurrentLoader opens testdata/v1store,
+// a directory written by the last binary with a v1 snapshot writer: 500
+// page keys set, Snapshot (v1, generation 2), then "after-snap" set into
+// the WAL tail and Close.
 func TestV1WrittenStoreRecoversThroughCurrentLoader(t *testing.T) {
 	dir := t.TempDir()
-	w, st := openStore(t, dir, Options{Sync: SyncNone, SnapshotV1: true})
+	for _, name := range []string{"snap-0000000000000002.snap", "wal-0000000000000002.log"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	var snapK, snapV [][]byte
 	for i := 0; i < 500; i++ {
-		w.Set([]byte(fmt.Sprintf("https://example.com/page/%05d", i)), []byte(fmt.Sprintf("v%d", i)))
+		snapK = append(snapK, []byte(fmt.Sprintf("https://example.com/page/%05d", i)))
+		snapV = append(snapV, []byte(fmt.Sprintf("v%d", i)))
+		want = append(want, string(snapK[i])+"="+string(snapV[i]))
 	}
-	if err := st.Snapshot(); err != nil {
-		t.Fatal(err)
+	want = append([]string{"after-snap=tail"}, want...)
+	// The test-only encoder must agree with the writer that made the
+	// fixture, or the in-memory v1 cases below would test another format.
+	if img, _ := os.ReadFile(filepath.Join(dir, "snap-0000000000000002.snap")); !bytes.Equal(img, encodeV1(snapK, snapV)) {
+		t.Fatal("encodeV1 disagrees with the fixture's v1 snapshot")
 	}
-	w.Set([]byte("after-snap"), []byte("tail"))
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := scanAll(w)
 
-	// Current (v2-default) code path opens the v1-written directory.
 	w2, st2 := openStore(t, dir, Options{Sync: SyncNone})
 	if st2.RecoveredPairs() != 500 {
 		t.Fatalf("recovered %d snapshot pairs, want 500", st2.RecoveredPairs())
@@ -89,9 +118,7 @@ func mixedGenDir(t *testing.T) vfs.FS {
 		t.Fatal(err)
 	}
 	k1, v1 := [][]byte{[]byte("v1-a"), []byte("v1-b")}, [][]byte{[]byte("1"), []byte("2")}
-	if err := writeSnapshotFS(fsys, snapPath("/db", 2), scanPairs(k1, v1)); err != nil {
-		t.Fatal(err)
-	}
+	writeRaw(t, fsys, snapPath("/db", 2), encodeV1(k1, v1))
 	k2, v2 := prefixedPairs(50)
 	if err := writeSnapshotV2FS(fsys, "/db", 5, 256, scanPairs(k2, v2)); err != nil {
 		t.Fatal(err)

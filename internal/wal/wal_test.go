@@ -127,23 +127,12 @@ func TestLogDoubleCloseIdempotent(t *testing.T) {
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.snap")
 	var keys, vals [][]byte
 	for i := 0; i < 1000; i++ {
 		keys = append(keys, []byte(fmt.Sprintf("key-%06d", i)))
 		vals = append(vals, []byte(fmt.Sprintf("val-%d", i*i)))
 	}
-	err := WriteSnapshot(path, func(fn func(k, v []byte) bool) {
-		for i := range keys {
-			if !fn(keys[i], vals[i]) {
-				return
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gk, gv, err := LoadSnapshot(path)
+	gk, gv, err := loadSnapshotBytes(encodeV1(keys, vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,31 +147,16 @@ func TestSnapshotRoundtrip(t *testing.T) {
 }
 
 func TestSnapshotEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := WriteSnapshot(path, func(func(k, v []byte) bool) {}); err != nil {
-		t.Fatal(err)
-	}
-	gk, gv, err := LoadSnapshot(path)
+	gk, gv, err := loadSnapshotBytes(encodeV1(nil, nil))
 	if err != nil || len(gk) != 0 || len(gv) != 0 {
 		t.Fatalf("empty snapshot: %d pairs, err %v", len(gk), err)
 	}
 }
 
 func TestSnapshotCorruptionRejected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s.snap")
-	if err := WriteSnapshot(path, func(fn func(k, v []byte) bool) {
-		fn([]byte("a"), []byte("1"))
-		fn([]byte("b"), []byte("2"))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := os.ReadFile(path)
+	orig := encodeV1([][]byte{[]byte("a"), []byte("b")}, [][]byte{[]byte("1"), []byte("2")})
 	mutate := func(name string, f func([]byte) []byte) {
-		data := f(append([]byte(nil), orig...))
-		p := filepath.Join(dir, name)
-		os.WriteFile(p, data, 0o644)
-		if _, _, err := LoadSnapshot(p); err == nil {
+		if _, _, err := loadSnapshotBytes(f(append([]byte(nil), orig...))); err == nil {
 			t.Fatalf("%s: corrupt snapshot loaded", name)
 		}
 	}
