@@ -232,7 +232,7 @@ func (w *Wormhole) batchWave(s *qsbr.Slot, sc *batchScratch, keys, vals [][]byte
 		ln.leaf = w.leafFromLPM(t, k, ln.node, ln.ph)
 		ln.s1 = ln.leaf.seq.Load()
 		if w.opt.DirectPos {
-			_, items := ln.leaf.base.Load().view(int(ln.leaf.baseN.Load()))
+			_, items := ln.leaf.base.Load().view()
 			if len(items) > 0 && items[int(uint64(ln.h)*uint64(len(items))>>32)] != nil {
 				leafWarm++
 			}

@@ -112,13 +112,13 @@ func (w *Wormhole) BulkLoad(keys, vals [][]byte) error {
 			l = newLeafNode(anchor{stored: anchors[i], realLen: realLens[i]}, stop-start)
 		}
 		// Pre-size the slab exactly: the leaf's items are known up front.
-		l.slab = make([]kv, 0, stop-start)
+		w.newSlab(l, stop-start)
 		for j := start; j < stop; j++ {
 			var v []byte
 			if vals != nil {
 				v = vals[j]
 			}
-			l.kvs = append(l.kvs, l.newKV(hashKey(keys[j]), keys[j], v))
+			l.kvs = append(l.kvs, w.newKV(l, hashKey(keys[j]), keys[j], v))
 		}
 		l.sorted = len(l.kvs)
 		l.rebuildTags()

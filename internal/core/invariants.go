@@ -17,8 +17,9 @@ import (
 //     strictly (hash, key)-ordered and in 1:1 pointer correspondence with
 //     kvs (every item exactly once, no stale or duplicate entries), the
 //     published key-sorted scan view strictly key-ordered and in 1:1
-//     correspondence with the base entries, all keys unique, the seqlock
-//     word even (no writer abandoned mid-section);
+//     correspondence with the base entries, the base block's own entry
+//     count agreeing with its arrays, all keys unique, the seqlock word
+//     even (no writer abandoned mid-section);
 //   - MetaTrieHT completeness: leaf item per anchor, internal item per
 //     proper prefix, no extras, bitmap bits exactly matching existing
 //     children, leftmost/rightmost equal to the true subtree boundaries;
@@ -91,21 +92,21 @@ func (w *Wormhole) checkLeafList() error {
 		seen := make(map[string]bool, len(l.kvs))
 		members := make(map[*kv]bool, len(l.kvs))
 		for i, it := range l.kvs {
-			if it.hash != hashKey(it.key) {
-				return fmt.Errorf("stale hash for key %q", it.key)
+			if it.hash != hashKey(it.key()) {
+				return fmt.Errorf("stale hash for key %q", it.key())
 			}
-			if seen[string(it.key)] {
-				return fmt.Errorf("duplicate key %q in leaf %q", it.key, a.stored)
+			if seen[string(it.key())] {
+				return fmt.Errorf("duplicate key %q in leaf %q", it.key(), a.stored)
 			}
-			seen[string(it.key)] = true
+			seen[string(it.key())] = true
 			members[it] = true
-			if bytes.Compare(it.key, a.real()) < 0 {
-				return fmt.Errorf("key %q below anchor %q", it.key, a.real())
+			if bytes.Compare(it.key(), a.real()) < 0 {
+				return fmt.Errorf("key %q below anchor %q", it.key(), a.real())
 			}
-			if nextReal != nil && bytes.Compare(it.key, nextReal) >= 0 {
-				return fmt.Errorf("key %q not below next anchor %q", it.key, nextReal)
+			if nextReal != nil && bytes.Compare(it.key(), nextReal) >= 0 {
+				return fmt.Errorf("key %q not below next anchor %q", it.key(), nextReal)
 			}
-			if i > 0 && i < l.sorted && bytes.Compare(l.kvs[i-1].key, it.key) >= 0 {
+			if i > 0 && i < l.sorted && bytes.Compare(l.kvs[i-1].key(), it.key()) >= 0 {
 				return fmt.Errorf("sorted prefix unsorted at %d in leaf %q", i, a.stored)
 			}
 		}
@@ -127,7 +128,7 @@ func (w *Wormhole) checkLeafList() error {
 			}
 			delete(members, e.it)
 			if e.hash != e.it.hash {
-				return fmt.Errorf("tag array entry hash stale for %q", e.it.key)
+				return fmt.Errorf("tag array entry hash stale for %q", e.it.key())
 			}
 			return nil
 		}
@@ -137,7 +138,7 @@ func (w *Wormhole) checkLeafList() error {
 			}
 			if i > 0 {
 				p := tags.base[i-1]
-				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(p.it.key, e.it.key) >= 0) {
+				if p.hash > e.hash || (p.hash == e.hash && bytes.Compare(p.it.key(), e.it.key()) >= 0) {
 					return fmt.Errorf("tag array base out of (hash, key) order in leaf %q", a.stored)
 				}
 			}
@@ -153,9 +154,12 @@ func (w *Wormhole) checkLeafList() error {
 		// that view, so a refactor cannot silently desynchronize what
 		// lock-free scans walk from what lookups see.
 		block := l.base.Load()
-		bn := int(l.baseN.Load())
-		_, baseItems := block.view(bn)
-		order := block.orderView(bn)
+		if err := checkBlock(block); err != nil {
+			return fmt.Errorf("leaf %q: %w", a.stored, err)
+		}
+		_, baseItems := block.view()
+		var orderBuf [tagBlockCap]int32
+		order := block.orderInto(&orderBuf)
 		if len(order) != len(tags.base) {
 			return fmt.Errorf("sorted view size mismatch in leaf %q: %d entries, base has %d",
 				a.stored, len(order), len(tags.base))
@@ -167,7 +171,7 @@ func (w *Wormhole) checkLeafList() error {
 					i, a.stored, ix)
 			}
 			seenIdx[ix] = true // each base item exactly once
-			if i > 0 && bytes.Compare(baseItems[order[i-1]].key, baseItems[ix].key) >= 0 {
+			if i > 0 && bytes.Compare(baseItems[order[i-1]].key(), baseItems[ix].key()) >= 0 {
 				return fmt.Errorf("sorted view out of key order in leaf %q at %d", a.stored, i)
 			}
 		}
@@ -177,20 +181,47 @@ func (w *Wormhole) checkLeafList() error {
 		for i := 0; i < tl && i < tagTailMax; i++ {
 			itm := l.tailItem[i].Load()
 			pos := l.tailPos[i].Load()
-			if want := lowerBoundIdx(baseItems, order, itm.key, true); int(pos) != want {
+			if want := lowerBoundIdx(baseItems, order, itm.key(), true); int(pos) != want {
 				return fmt.Errorf("tail slot %d of leaf %q has merge position %d, want %d",
 					i, a.stored, pos, want)
 			}
-			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, itm.key) >= 0) {
+			if pos < prevPos || (pos == prevPos && bytes.Compare(prevKey, itm.key()) >= 0) {
 				return fmt.Errorf("tail slots of leaf %q out of (pos, key) order at %d", a.stored, i)
 			}
-			prevPos, prevKey = pos, itm.key
+			prevPos, prevKey = pos, itm.key()
 		}
 		total += int64(len(l.kvs))
 		prevLeaf = l
 	}
 	if total != w.count.Load() {
 		return fmt.Errorf("count mismatch: leaves hold %d, Count()=%d", total, w.count.Load())
+	}
+	return nil
+}
+
+// checkBlock validates a base block's in-header entry count: inline
+// blocks hold at most tagBlockCap entries and zero every slot past the
+// count; a big block's arrays are exactly count long and its count is
+// beyond the inline capacity.
+func checkBlock(b *tagBlock) error {
+	n := int(b.n)
+	if bg := b.big; bg != nil {
+		if n <= tagBlockCap || len(bg.hashes) != n || len(bg.items) != n || len(bg.order) != n {
+			return fmt.Errorf("big block count %d disagrees with its arrays (%d/%d/%d)",
+				n, len(bg.hashes), len(bg.items), len(bg.order))
+		}
+		return nil
+	}
+	if n < 0 || n > tagBlockCap {
+		return fmt.Errorf("inline block count %d outside [0, %d]", n, tagBlockCap)
+	}
+	for i := n; i < tagBlockCap; i++ {
+		if b.hashes[i] != 0 || b.items[i] != nil || b.order[i] != 0 {
+			return fmt.Errorf("inline block slot %d beyond count %d is not empty", i, n)
+		}
+	}
+	if n == 0 && b != emptyTagBlock {
+		return fmt.Errorf("empty base block is not the shared empty block")
 	}
 	return nil
 }

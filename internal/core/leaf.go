@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -14,8 +15,13 @@ import (
 // (§3.2). Key and value buffers are owned by the index once inserted and
 // must not be mutated by the caller.
 //
-// key and hash are immutable after construction. The value is stored as
-// an atomic (pointer, length) pair so a lock-free reader racing an
+// The key is held as a (pointer, length) pair behind key() rather than a
+// 24-byte slice header: an item's capacity is never used, and dropping it
+// packs a kv into 32 bytes — half a cache line, and a third less slab
+// memory per key than the slice form.
+//
+// The key and hash are immutable after construction. The value is stored
+// as an atomic (pointer, length) pair so a lock-free reader racing an
 // overwrite reads both halves without a data race; the pair itself can
 // still be torn (old pointer, new length), which is exactly what the
 // leaf's seqlock detects — writers bump it around setValue, and an
@@ -27,9 +33,22 @@ import (
 // slab (newKV).
 type kv struct {
 	hash uint32
-	key  []byte
+	klen uint32
+	kptr *byte
 	vptr atomic.Pointer[byte]
 	vlen atomic.Int64
+}
+
+// key returns the item's immutable key. A nil key reads back nil, an
+// empty non-nil one as an empty non-nil slice.
+func (it *kv) key() []byte { return unsafe.Slice(it.kptr, it.klen) }
+
+// setKey stores key at construction time; keys must fit the 32-bit length.
+func (it *kv) setKey(key []byte) {
+	if uint64(len(key)) > math.MaxUint32 {
+		panic("core: key longer than 4 GiB")
+	}
+	it.kptr, it.klen = unsafe.SliceData(key), uint32(len(key))
 }
 
 // value returns the current value slice. A nil stored value reads back
@@ -109,38 +128,44 @@ const tagTailMax = 15
 // validation discards exactly those reads.
 
 // tagBlockCap sizes the block's inline arrays: the default 128-key leaf
-// plus a full tail, with headroom. Leaves that outgrow it (fat leaves,
-// large custom LeafCap) spill to the slice-based big form.
-const tagBlockCap = 160
+// plus a full tail, so that the whole block fits Go's 2048-byte size
+// class. Leaves that outgrow it (fat leaves, large custom LeafCap) spill
+// to the slice-based big form.
+const tagBlockCap = 144
 
 // tagBlock is one immutable published base: hashes[i] == items[i].hash,
-// ordered by (hash, key). The arrays are inline and fixed-size, and the
-// entry count lives in the leaf header (baseN), not here — so a reader
-// computes the address of hashes[i] from the block pointer alone, without
-// first reading the block. That removes one serialized cache miss from
-// every lookup (block pointer → slice header → array data becomes block
-// pointer → array data), and it makes mixed-generation races memory-safe
-// by construction: any index the walk can produce stays inside the fixed
-// arrays, where a stale slot holds either zero or a still-live item — and
-// the seqlock bracket rejects such reads anyway.
+// ordered by (hash, key), with n entries. The count lives in the block
+// header next to big, so one pointer load yields a consistent
+// (hashes, items, order, n): no reader can pair a block with another
+// block's count, and every index the walk derives from n stays inside the
+// block's own arrays. A reader already reads the header line for big, so
+// the count costs it no extra cache line, though the walk's start
+// position waits on that line. The arrays are inline and fixed-size —
+// block pointer → array data, no slice header in between.
 //
 // order is the published key-sorted view lock-free range scans walk:
 // order[k] is the items index of the k-th smallest key. Indices, not a
 // second pointer array — the array stays out of the garbage collector's
-// pointer scans and costs half the bytes, which matters because a block
-// is reallocated on every fold, so its size is a write-path cost. The
-// lookup side keeps its direct hashes[i]/items[i] layout (one less
-// dependent load on the Get path); scans pay the one-hop
-// items[order[k]] indirection per emitted pair, which long chunks
-// pipeline well.
+// pointer scans, and 16-bit indices cost a quarter of the pointer form's
+// bytes, which matters because a block is reallocated on every fold, so
+// its size is a write-path cost. The lookup side keeps its direct
+// hashes[i]/items[i] layout (one less dependent load on the Get path);
+// scans pay the one-hop items[order[k]] indirection per emitted pair,
+// which long chunks pipeline well.
 type tagBlock struct {
 	big    *tagBlockBig // non-nil iff the entries exceed tagBlockCap
+	n      int32        // entry count, in both forms
 	hashes [tagBlockCap]uint32
 	items  [tagBlockCap]*kv
-	order  [tagBlockCap]int32
+	order  [tagBlockCap]uint16
 }
 
-// tagBlockBig is the overflow form for leaves beyond tagBlockCap items.
+// tagBlockAlloc is the size class a tagBlock occupies; the block must
+// stay within it (TestLayoutSizes).
+const tagBlockAlloc = 2048
+
+// tagBlockBig is the overflow form for leaves beyond tagBlockCap items;
+// its order indices are 32-bit, since a fat leaf has no size bound.
 type tagBlockBig struct {
 	hashes []uint32
 	items  []*kv
@@ -150,52 +175,102 @@ type tagBlockBig struct {
 // emptyTagBlock is the zero-entry block shared by all fresh leaves.
 var emptyTagBlock = &tagBlock{}
 
+// view returns the block's lookup arrays.
+func (b *tagBlock) view() ([]uint32, []*kv) {
+	if bg := b.big; bg != nil {
+		return bg.hashes, bg.items
+	}
+	return b.hashes[:b.n], b.items[:b.n]
+}
+
+// keyPos returns key's merge position in the block's key-sorted view.
+func (b *tagBlock) keyPos(key []byte) int {
+	if bg := b.big; bg != nil {
+		return keyPosIn(bg.items, bg.order, key)
+	}
+	return keyPosIn(b.items[:b.n], b.order[:b.n], key)
+}
+
+// orderInto returns the block's key-sorted view widened to 32 bits: the
+// big form's own array, or the inline one copied into dst (the fold,
+// remove and invariant paths, which are written once for both forms).
+func (b *tagBlock) orderInto(dst *[tagBlockCap]int32) []int32 {
+	if bg := b.big; bg != nil {
+		return bg.order
+	}
+	o := dst[:b.n]
+	for i, x := range b.order[:b.n] {
+		o[i] = int32(x)
+	}
+	return o
+}
+
+// newTagBlock allocates a base block for n entries (zero entries reuse
+// emptyTagBlock) and returns its writable arrays (single writer; caller
+// holds mu). order is the big form's own array or, for the inline form,
+// stage[:n]: a 32-bit buffer that finishTagBlock narrows into the block,
+// so the fold and remove walks are written once for both forms.
+func newTagBlock(n int, stage *[tagBlockCap]int32) (*tagBlock, []uint32, []*kv, []int32) {
+	switch {
+	case n == 0:
+		return emptyTagBlock, nil, nil, nil
+	case n > tagBlockCap:
+		bg := &tagBlockBig{hashes: make([]uint32, n), items: make([]*kv, n), order: make([]int32, n)}
+		return &tagBlock{big: bg, n: int32(n)}, bg.hashes, bg.items, bg.order
+	}
+	b := &tagBlock{n: int32(n)}
+	return b, b.hashes[:n], b.items[:n], stage[:n]
+}
+
+// finishTagBlock narrows an inline block's staged order into the block
+// and returns the block, ready to publish.
+func finishTagBlock(b *tagBlock, order []int32) *tagBlock {
+	if b.big == nil {
+		for i, x := range order {
+			b.order[i] = uint16(x)
+		}
+	}
+	return b
+}
+
 // makeTagBlock packs (hash, key)-sorted entries into a fresh block,
 // deriving the key-sorted index view with one extra sort (cold paths
 // only; the insert fold maintains it by position-merging instead).
 func makeTagBlock(entries []tagEnt) *tagBlock {
-	if len(entries) == 0 {
-		return emptyTagBlock
-	}
-	b := &tagBlock{}
-	if len(entries) > tagBlockCap {
-		bg := &tagBlockBig{
-			hashes: make([]uint32, len(entries)),
-			items:  make([]*kv, len(entries)),
-			order:  make([]int32, len(entries)),
-		}
-		for i, e := range entries {
-			bg.hashes[i] = e.hash
-			bg.items[i] = e.it
-			bg.order[i] = int32(i)
-		}
-		sortOrderIdx(bg.order, bg.items)
-		b.big = bg
-		return b
-	}
+	var stage [tagBlockCap]int32
+	b, hashes, items, order := newTagBlock(len(entries), &stage)
 	for i, e := range entries {
-		b.hashes[i] = e.hash
-		b.items[i] = e.it
-		b.order[i] = int32(i)
+		hashes[i], items[i], order[i] = e.hash, e.it, int32(i)
 	}
-	sortOrderIdx(b.order[:len(entries)], b.items[:len(entries)])
+	// Sort the published array, not the staging buffer, which would
+	// escape to the heap through the sort.
+	b = finishTagBlock(b, order)
+	if bg := b.big; bg != nil {
+		sortOrderIdx(bg.items, bg.order)
+	} else {
+		sortOrderIdx(b.items[:b.n], b.order[:b.n])
+	}
 	return b
 }
 
-// sortOrderIdx orders the index view by the referenced items' keys.
-func sortOrderIdx(idx []int32, items []*kv) {
-	slices.SortFunc(idx, func(x, y int32) int { return bytes.Compare(items[x].key, items[y].key) })
+// sortOrderIdx orders an index view by the referenced items' keys.
+func sortOrderIdx[O ordIdx](items []*kv, idx []O) {
+	slices.SortFunc(idx, func(x, y O) int { return bytes.Compare(items[x].key(), items[y].key()) })
 }
+
+// ordIdx is the element type of a key-sorted index view: 16-bit in the
+// inline block, 32-bit in the big form.
+type ordIdx interface{ uint16 | int32 }
 
 // lowerBoundIdx returns the first position in the key-sorted index view
 // whose key is >= bound (incl) or > bound (!incl); len(idx) when none
 // qualifies. A plain loop instead of sort.Search keeps callers
 // closure-free.
-func lowerBoundIdx(items []*kv, idx []int32, bound []byte, incl bool) int {
+func lowerBoundIdx[O ordIdx](items []*kv, idx []O, bound []byte, incl bool) int {
 	lo, hi := 0, len(idx)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		cmp := bytes.Compare(items[idx[mid]].key, bound)
+		cmp := bytes.Compare(items[idx[mid]].key(), bound)
 		if cmp < 0 || (!incl && cmp == 0) {
 			lo = mid + 1
 		} else {
@@ -208,40 +283,12 @@ func lowerBoundIdx(items []*kv, idx []int32, bound []byte, incl bool) int {
 // keyPosIn returns key's merge position in the key-sorted view, with a
 // one-compare fast path for the common append-at-end (ascending insert)
 // case.
-func keyPosIn(items []*kv, idx []int32, key []byte) int {
+func keyPosIn[O ordIdx](items []*kv, idx []O, key []byte) int {
 	n := len(idx)
-	if n == 0 || bytes.Compare(items[idx[n-1]].key, key) < 0 {
+	if n == 0 || bytes.Compare(items[idx[n-1]].key(), key) < 0 {
 		return n
 	}
 	return lowerBoundIdx(items, idx, key, true)
-}
-
-// view returns the block's entry arrays; n is the leaf's published entry
-// count (authoritative while the caller's seqlock bracket holds).
-func (b *tagBlock) view(n int) ([]uint32, []*kv) {
-	if bg := b.big; bg != nil {
-		n = min(n, len(bg.hashes), len(bg.items))
-		return bg.hashes[:n], bg.items[:n]
-	}
-	if n > tagBlockCap {
-		n = tagBlockCap
-	}
-	return b.hashes[:n], b.items[:n]
-}
-
-// orderView returns the block's key-sorted index view (indices into the
-// item array); n is the leaf's published entry count (authoritative while
-// the caller's seqlock bracket holds). Like view, any count a racing
-// reader can pass stays in bounds — and so does every index the view
-// holds, because indices and items are published together in one block.
-func (b *tagBlock) orderView(n int) []int32 {
-	if bg := b.big; bg != nil {
-		return bg.order[:min(n, len(bg.order))]
-	}
-	if n > tagBlockCap {
-		n = tagBlockCap
-	}
-	return b.order[:n]
 }
 
 // tagsView is a point-in-time view of a leaf's hash index, materialized
@@ -269,7 +316,7 @@ func cmpTagEnts(x, y tagEnt) int {
 		}
 		return 1
 	}
-	return bytes.Compare(x.it.key, y.it.key)
+	return bytes.Compare(x.it.key(), y.it.key())
 }
 
 // sortTagEnts orders entries by (hash, key). slices.SortFunc, not
@@ -309,10 +356,9 @@ type leafNode struct {
 	// version > tableVersion and restarts.
 	version atomic.Uint64
 	base    atomic.Pointer[tagBlock]
-	baseN   atomic.Int32 // entry count of base (see tagBlock)
 	tailLen atomic.Int32
-	anchor  atomic.Pointer[anchor]
 	dead    atomic.Bool // set when the leaf is merged away (victim)
+	anchor  atomic.Pointer[anchor]
 
 	mu sync.RWMutex
 
@@ -332,10 +378,6 @@ type leafNode struct {
 	// base item's slot shift down by one (a monotone adjustment, so the
 	// slot order survives).
 	tailPos [tagTailMax]atomic.Int32
-
-	// pendingBlock stages a base block under construction (see
-	// newTagBlockInto); guarded by mu.
-	pendingBlock *tagBlock
 
 	// slab is the append-only backing store for this leaf's own kv items
 	// (chunked; a full chunk is abandoned to the items pointing into it
@@ -357,7 +399,7 @@ func newLeafNode(a anchor, capHint int) *leafNode {
 // tags returns an entry view of the current hash index (cold paths; the
 // lookup path is findTags). Callers needing a consistent view hold mu.
 func (l *leafNode) tags() tagsView {
-	hashes, items := l.base.Load().view(int(l.baseN.Load()))
+	hashes, items := l.base.Load().view()
 	v := tagsView{}
 	if len(hashes) > 0 {
 		v.base = make([]tagEnt, len(hashes))
@@ -376,7 +418,6 @@ func (l *leafNode) tags() tagsView {
 // and empties the tail; caller holds mu.
 func (l *leafNode) setTags(entries []tagEnt) {
 	l.base.Store(makeTagBlock(entries))
-	l.baseN.Store(int32(len(entries)))
 	l.tailLen.Store(0)
 }
 
@@ -386,7 +427,7 @@ func (l *leafNode) setTags(entries []tagEnt) {
 // tail. Safe without any lock; optimistic callers bracket it with the
 // seqlock (see the tagBlock comment for why no read here can fault).
 func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
-	hashes, items := l.base.Load().view(int(l.baseN.Load()))
+	hashes, items := l.base.Load().view()
 	if directPos && len(items) > 0 {
 		// Touch the item slot at the speculative position while the hash
 		// walk's own loads are in flight; the final position is almost
@@ -399,7 +440,7 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
 	}
 	if i := tagPos(hashes, h, directPos); i < len(hashes) {
 		for ; i < len(hashes) && hashes[i] == h; i++ {
-			if it := items[i]; it != nil && bytes.Equal(it.key, key) {
+			if it := items[i]; it != nil && bytes.Equal(it.key(), key) {
 				return it
 			}
 		}
@@ -407,7 +448,7 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
 	tl := int(l.tailLen.Load())
 	for i := 0; i < tl && i < tagTailMax; i++ {
 		if l.tailHash[i].Load() == h {
-			if it := l.tailItem[i].Load(); it != nil && bytes.Equal(it.key, key) {
+			if it := l.tailItem[i].Load(); it != nil && bytes.Equal(it.key(), key) {
 				return it
 			}
 		}
@@ -420,32 +461,35 @@ func (l *leafNode) findTags(h uint32, key []byte, directPos bool) *kv {
 func (l *leafNode) beginMutate() { l.seq.Add(1) }
 func (l *leafNode) endMutate()   { l.seq.Add(1) }
 
-// slabChunk is the kv-slab growth unit cap.
-const slabChunk = 64
+// slabChunk is the kv-slab growth unit cap: 16 items, 512 bytes. Small
+// chunks bound the slack a leaf strands in its newest chunk and in chunks
+// kept alive by a few surviving items after splits move the rest away.
+const slabChunk = 16
 
-// newKV allocates an item from the leaf's slab (caller holds mu). Chunks
-// are never reallocated in place — kv addresses are stable for the life
-// of the index, which both the published tag arrays and the no-copy rule
-// on kv (it embeds atomics) rely on.
-func (l *leafNode) newKV(h uint32, key, val []byte) *kv {
+// newKV allocates an item from l's slab (caller holds l.mu) and charges
+// any new chunk to the index's slab account. Chunks are never reallocated
+// in place — kv addresses are stable for the life of the index, which
+// both the published tag arrays and the no-copy rule on kv (it embeds
+// atomics) rely on.
+func (w *Wormhole) newKV(l *leafNode, h uint32, key, val []byte) *kv {
 	if len(l.slab) == cap(l.slab) {
-		c := cap(l.slab) * 2
-		if c < 8 {
-			c = 8
-		}
-		if c > slabChunk {
-			c = slabChunk
-		}
-		l.slab = make([]kv, 0, c)
+		w.newSlab(l, min(max(cap(l.slab)*2, 8), slabChunk))
 	}
 	l.slab = l.slab[:len(l.slab)+1]
 	it := &l.slab[len(l.slab)-1]
 	it.hash = h
-	it.key = key
+	it.setKey(key)
 	if val != nil {
 		it.setValue(val)
 	}
 	return it
+}
+
+// newSlab gives l a fresh slab chunk of n items and charges it to the
+// index's slab account (caller holds l.mu).
+func (w *Wormhole) newSlab(l *leafNode, n int) {
+	l.slab = make([]kv, 0, n)
+	w.slabBytes.Add(int64(n) * int64(unsafe.Sizeof(kv{})))
 }
 
 func (l *leafNode) size() int { return len(l.kvs) }
@@ -486,12 +530,12 @@ func (l *leafNode) find(h uint32, key []byte, sortByTag, directPos bool) *kv {
 		return l.findTags(h, key, directPos)
 	}
 	s := l.kvs[:l.sorted]
-	i := sort.Search(len(s), func(j int) bool { return bytes.Compare(s[j].key, key) >= 0 })
-	if i < len(s) && bytes.Equal(s[i].key, key) {
+	i := sort.Search(len(s), func(j int) bool { return bytes.Compare(s[j].key(), key) >= 0 })
+	if i < len(s) && bytes.Equal(s[i].key(), key) {
 		return s[i]
 	}
 	for _, it := range l.kvs[l.sorted:] {
-		if bytes.Equal(it.key, key) {
+		if bytes.Equal(it.key(), key) {
 			return it
 		}
 	}
@@ -506,16 +550,13 @@ func (l *leafNode) insert(it *kv) {
 	l.beginMutate()
 	// Keep the sorted prefix maximal for the common ascending-insert case.
 	if l.sorted == len(l.kvs) &&
-		(l.sorted == 0 || bytes.Compare(l.kvs[l.sorted-1].key, it.key) < 0) {
+		(l.sorted == 0 || bytes.Compare(l.kvs[l.sorted-1].key(), it.key()) < 0) {
 		l.sorted++
 	}
 	l.kvs = append(l.kvs, it)
 	tl := int(l.tailLen.Load())
 	if tl < tagTailMax {
-		b := l.base.Load()
-		bn := int(l.baseN.Load())
-		_, items := b.view(bn)
-		pos := int32(keyPosIn(items, b.orderView(bn), it.key))
+		pos := int32(l.base.Load().keyPos(it.key()))
 		// Keep the inline tail (pos, key)-sorted: find the insertion
 		// slot, shift the greater suffix up one, store the new item. The
 		// shift's transient duplicates are inside this bracket, so
@@ -524,7 +565,7 @@ func (l *leafNode) insert(it *kv) {
 		s := tl
 		for s > 0 {
 			p := l.tailPos[s-1].Load()
-			if p < pos || (p == pos && bytes.Compare(l.tailItem[s-1].Load().key, it.key) < 0) {
+			if p < pos || (p == pos && bytes.Compare(l.tailItem[s-1].Load().key(), it.key()) < 0) {
 				break
 			}
 			s--
@@ -550,16 +591,16 @@ func (l *leafNode) insert(it *kv) {
 		// position plus its slot among the sorted tail) and hash ties in
 		// the small tail sort.
 		ob := l.base.Load()
-		bn := int(l.baseN.Load())
-		oh, oldItems := ob.view(bn)
-		oo := ob.orderView(bn)
+		oh, oldItems := ob.view()
+		var ooBuf [tagBlockCap]int32
+		oo := ob.orderInto(&ooBuf)
 
 		// The new item joins the (pos, key)-sorted tail in a local copy.
-		newPos := int32(keyPosIn(oldItems, oo, it.key))
+		newPos := int32(ob.keyPos(it.key()))
 		sl := tl
 		for sl > 0 {
 			p := l.tailPos[sl-1].Load()
-			if p < newPos || (p == newPos && bytes.Compare(l.tailItem[sl-1].Load().key, it.key) < 0) {
+			if p < newPos || (p == newPos && bytes.Compare(l.tailItem[sl-1].Load().key(), it.key()) < 0) {
 				break
 			}
 			sl--
@@ -586,15 +627,15 @@ func (l *leafNode) insert(it *kv) {
 			for j := i; j > 0; j-- {
 				x, y := hs[j], hs[j-1]
 				if thash[x] > thash[y] || (thash[x] == thash[y] &&
-					bytes.Compare(titems[x].key, titems[y].key) >= 0) {
+					bytes.Compare(titems[x].key(), titems[y].key()) >= 0) {
 					break
 				}
 				hs[j], hs[j-1] = hs[j-1], hs[j]
 			}
 		}
 
-		n := len(oh) + m
-		nh, ni, no := newTagBlockInto(l, n)
+		var stage [tagBlockCap]int32
+		nb, nh, ni, no := newTagBlock(len(oh)+m, &stage)
 		var onBuf [tagBlockCap]int32
 		oldToNew := onBuf[:]
 		if len(oh) > tagBlockCap {
@@ -608,7 +649,7 @@ func (l *leafNode) insert(it *kv) {
 		for bi < len(oh) && ti < m {
 			j := hs[ti]
 			if oh[bi] < thash[j] || (oh[bi] == thash[j] &&
-				bytes.Compare(oldItems[bi].key, titems[j].key) < 0) {
+				bytes.Compare(oldItems[bi].key(), titems[j].key()) < 0) {
 				nh[o], ni[o] = oh[bi], oldItems[bi]
 				oldToNew[bi] = int32(o)
 				bi++
@@ -647,33 +688,10 @@ func (l *leafNode) insert(it *kv) {
 			no[o] = tailToNew[tj]
 			o++
 		}
-		l.publishTagBlock(n)
+		l.base.Store(finishTagBlock(nb, no))
+		l.tailLen.Store(0)
 	}
 	l.endMutate()
-}
-
-// pendingTagBlock passes the block under construction from
-// newTagBlockInto to publishTagBlock (single writer; caller holds mu).
-//
-// newTagBlockInto allocates a block sized for n entries and returns its
-// writable arrays; publishTagBlock stores it as the new base and empties
-// the tail.
-func newTagBlockInto(l *leafNode, n int) ([]uint32, []*kv, []int32) {
-	b := &tagBlock{}
-	if n > tagBlockCap {
-		b.big = &tagBlockBig{hashes: make([]uint32, n), items: make([]*kv, n), order: make([]int32, n)}
-		l.pendingBlock = b
-		return b.big.hashes, b.big.items, b.big.order
-	}
-	l.pendingBlock = b
-	return b.hashes[:n], b.items[:n], b.order[:n]
-}
-
-func (l *leafNode) publishTagBlock(n int) {
-	l.base.Store(l.pendingBlock)
-	l.pendingBlock = nil
-	l.baseN.Store(int32(n))
-	l.tailLen.Store(0)
 }
 
 // remove deletes the item (previously returned by find); caller holds mu.
@@ -703,10 +721,11 @@ func (l *leafNode) remove(it *kv) {
 		// lookup arrays and the key-sorted index view, whose indices above
 		// the removed item's array slot shift down by one).
 		ob := l.base.Load()
-		bn := int(l.baseN.Load())
-		oh, oi := ob.view(bn)
-		oo := ob.orderView(bn)
-		nh, ni, no := newTagBlockInto(l, len(oh)-1)
+		oh, oi := ob.view()
+		var ooBuf [tagBlockCap]int32
+		oo := ob.orderInto(&ooBuf)
+		var stage [tagBlockCap]int32
+		nb, nh, ni, no := newTagBlock(len(oh)-1, &stage)
 		o := 0
 		ri := len(oi) // removed item's index in the old item array
 		for i, m := range oi {
@@ -730,12 +749,10 @@ func (l *leafNode) remove(it *kv) {
 			no[j] = ix
 			j++
 		}
-		tl := l.tailLen.Load() // publishTagBlock clears the tail; keep it
-		l.publishTagBlock(o)
-		l.tailLen.Store(tl)
+		l.base.Store(finishTagBlock(nb, no))
 		// Tail merge positions above the removed key slot shift down; a
 		// monotone adjustment, so the slots' (pos, key) order survives.
-		for i := 0; i < int(tl); i++ {
+		for i := 0; i < int(l.tailLen.Load()); i++ {
 			if p := l.tailPos[i].Load(); p > int32(rp) {
 				l.tailPos[i].Store(p - 1)
 			}
@@ -788,7 +805,7 @@ func (l *leafNode) incSort() {
 		return
 	}
 	tail := l.kvs[l.sorted:]
-	slices.SortFunc(tail, func(x, y *kv) int { return bytes.Compare(x.key, y.key) })
+	slices.SortFunc(tail, func(x, y *kv) int { return bytes.Compare(x.key(), y.key()) })
 	if l.sorted == 0 {
 		l.sorted = len(l.kvs)
 		return
@@ -797,7 +814,7 @@ func (l *leafNode) incSort() {
 	merged := (*bufp)[:0]
 	a, b := l.kvs[:l.sorted], tail
 	for len(a) > 0 && len(b) > 0 {
-		if bytes.Compare(a[0].key, b[0].key) <= 0 {
+		if bytes.Compare(a[0].key(), b[0].key()) <= 0 {
 			merged = append(merged, a[0])
 			a = a[1:]
 		} else {
@@ -829,13 +846,13 @@ func (l *leafNode) rebuildTags() {
 // Requires incSort to have run (sorted == len(kvs)).
 func (l *leafNode) firstAtLeast(k []byte) int {
 	return sort.Search(len(l.kvs), func(i int) bool {
-		return bytes.Compare(l.kvs[i].key, k) >= 0
+		return bytes.Compare(l.kvs[i].key(), k) >= 0
 	})
 }
 
 // firstGreater returns the index of the first sorted item with key > k.
 func (l *leafNode) firstGreater(k []byte) int {
 	return sort.Search(len(l.kvs), func(i int) bool {
-		return bytes.Compare(l.kvs[i].key, k) > 0
+		return bytes.Compare(l.kvs[i].key(), k) > 0
 	})
 }

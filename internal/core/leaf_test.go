@@ -11,7 +11,8 @@ import (
 
 func mkKV(key string) *kv {
 	k := []byte(key)
-	it := &kv{hash: hashKey(k), key: k}
+	it := &kv{hash: hashKey(k)}
+	it.setKey(k)
 	it.setValue([]byte("v"))
 	return it
 }
@@ -26,7 +27,7 @@ func TestLeafInsertFindRemove(t *testing.T) {
 		for _, sbt := range []bool{true, false} {
 			for _, k := range keys {
 				it := l.find(hashKey([]byte(k)), []byte(k), sbt, dp)
-				if it == nil || string(it.key) != k {
+				if it == nil || string(it.key()) != k {
 					t.Fatalf("find(%q, sortByTag=%v, directPos=%v) failed", k, sbt, dp)
 				}
 			}
@@ -65,14 +66,14 @@ func TestLeafIncSort(t *testing.T) {
 		t.Fatal("incSort did not sort everything")
 	}
 	for i := 1; i < len(l.kvs); i++ {
-		if bytes.Compare(l.kvs[i-1].key, l.kvs[i].key) >= 0 {
+		if bytes.Compare(l.kvs[i-1].key(), l.kvs[i].key()) >= 0 {
 			t.Fatalf("kvs unsorted after incSort at %d", i)
 		}
 	}
 	// byHash must survive the reorder (it stores pointers).
 	for _, it := range l.kvs {
-		if f := l.find(it.hash, it.key, true, true); f != it {
-			t.Fatalf("byHash lost %q after incSort", it.key)
+		if f := l.find(it.hash, it.key(), true, true); f != it {
+			t.Fatalf("byHash lost %q after incSort", it.key())
 		}
 	}
 }
@@ -106,7 +107,7 @@ func TestLeafHashPosQuick(t *testing.T) {
 				i := tagPos(hashes, h, dp)
 				found := false
 				for ; i < len(base) && base[i].hash == h; i++ {
-					if string(base[i].it.key) == k {
+					if string(base[i].it.key()) == k {
 						found = true
 						break
 					}

@@ -64,7 +64,7 @@ func planSplit(l *leafNode, shortAnchors bool) *splitPlan {
 		var best *splitPlan
 		bestDist := 0
 		for i := lo; i <= hi; i++ {
-			p := tryCut(l.kvs[i-1].key, l.kvs[i].key, own, nextStored, i)
+			p := tryCut(l.kvs[i-1].key(), l.kvs[i].key(), own, nextStored, i)
 			if p == nil {
 				continue
 			}
@@ -87,13 +87,13 @@ func planSplit(l *leafNode, shortAnchors bool) *splitPlan {
 		ok := false
 		if hi >= 1 && hi <= n-1 {
 			ok = true
-			if p := tryCut(l.kvs[hi-1].key, l.kvs[hi].key, own, nextStored, hi); p != nil {
+			if p := tryCut(l.kvs[hi-1].key(), l.kvs[hi].key(), own, nextStored, hi); p != nil {
 				return p
 			}
 		}
 		if off > 0 && lo >= 1 && lo <= n-1 {
 			ok = true
-			if p := tryCut(l.kvs[lo-1].key, l.kvs[lo].key, own, nextStored, lo); p != nil {
+			if p := tryCut(l.kvs[lo-1].key(), l.kvs[lo].key(), own, nextStored, lo); p != nil {
 				return p
 			}
 		}
@@ -156,20 +156,24 @@ func tryCut(a, b, own, nextStored []byte, cut int) *splitPlan {
 	return &splitPlan{cut: cut, stored: stored, realLen: len(p), conv: conv}
 }
 
-// executeLeafSplit mutates the LeafList for a planned split: moves the
-// upper half of l's items into a new leaf, re-keys l's anchor if the plan
-// converted it, and links the new leaf after l. It returns the new leaf.
-// The caller holds l's write lock and has already bumped l's version, so
-// optimistic readers that observe the truncated tag array retry; the seq
-// bump additionally invalidates any read overlapping the mutation. The
-// new leaf is not yet reachable.
-func executeLeafSplit(l *leafNode, p *splitPlan) *leafNode {
-	right := l.kvs[p.cut:]
+// splitRight builds the leaf that takes the upper half of l's items under
+// a planned split. The new leaf is not yet reachable.
+func splitRight(l *leafNode, p *splitPlan) *leafNode {
 	newL := newLeafNode(anchor{stored: p.stored, realLen: p.realLen}, cap(l.kvs))
-	newL.kvs = append(newL.kvs, right...)
+	newL.kvs = append(newL.kvs, l.kvs[p.cut:]...)
 	newL.sorted = len(newL.kvs)
 	newL.rebuildTags()
+	return newL
+}
 
+// executeLeafSplit mutates the LeafList for a planned split: truncates l
+// to its lower half, re-keys l's anchor if the plan converted it, and
+// links newL (from splitRight) after l. The caller holds l's write lock
+// and has already bumped l's version. The truncation and the link share
+// one seqlock bracket: a scan hopping through l reads l.next inside its
+// own bracket, so it must never validate the truncated l together with
+// the old l.next — it would hop past newL and miss the upper half.
+func executeLeafSplit(l, newL *leafNode, p *splitPlan) {
 	l.beginMutate()
 	l.kvs = l.kvs[:p.cut]
 	l.sorted = p.cut
@@ -178,8 +182,8 @@ func executeLeafSplit(l *leafNode, p *splitPlan) *leafNode {
 		old := l.anchor.Load()
 		l.anchor.Store(&anchor{stored: p.conv.to, realLen: old.realLen})
 	}
+	linkAfter(l, newL)
 	l.endMutate()
-	return newL
 }
 
 // linkAfter splices newL into the list immediately after l.

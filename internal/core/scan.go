@@ -59,7 +59,7 @@ type scanEntry struct {
 	vn int64
 }
 
-func (e *scanEntry) key() []byte   { return e.it.key }
+func (e *scanEntry) key() []byte   { return e.it.key() }
 func (e *scanEntry) value() []byte { return valueSlice(e.vp, e.vn) }
 
 // scanBufPool recycles chunk copy-out buffers; range-heavy workloads
@@ -190,9 +190,6 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 		}
 	}
 	b := l.base.Load()
-	bn := int(l.baseN.Load())
-	_, items := b.view(bn)
-	order := b.orderView(bn)
 	bound, incl, unbounded := c.boundKey()
 	// After a validated hop every key in l lies strictly beyond the bound
 	// (leaf spans are ordered and a real anchor never moves down), so the
@@ -200,10 +197,10 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 	edge := c.leaf != nil && !c.sameLeaf
 	var out []scanEntry
 	var more bool
-	if c.desc {
-		out, more = mergeDesc(l, items, order, bound, incl, unbounded || edge, buf)
+	if bg := b.big; bg != nil {
+		out, more = mergeLeaf(l, bg.items, bg.order, c.desc, bound, incl, unbounded, edge, buf)
 	} else {
-		out, more = mergeAsc(l, items, order, bound, incl, edge, buf)
+		out, more = mergeLeaf(l, b.items[:b.n], b.order[:b.n], c.desc, bound, incl, unbounded, edge, buf)
 	}
 	var adj *leafNode
 	if !more {
@@ -218,6 +215,15 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 	}
 	c.advance(l, adj, ver, more, out)
 	return out, fastOK
+}
+
+// mergeLeaf copies one chunk out of a base block's key-sorted view and the
+// leaf's inline tail, in the cursor's direction.
+func mergeLeaf[O ordIdx](l *leafNode, items []*kv, order []O, desc bool, bound []byte, incl, unbounded, edge bool, buf []scanEntry) ([]scanEntry, bool) {
+	if desc {
+		return mergeDesc(l, items, order, bound, incl, unbounded || edge, buf)
+	}
+	return mergeAsc(l, items, order, bound, incl, edge, buf)
 }
 
 // mergeAsc merge-walks the key-sorted base view and the leaf's inline
@@ -235,7 +241,7 @@ func (c *cursor) tryFastChunk(l *leafNode, tver uint64, checkVer bool, buf []sca
 // nil tail slot
 // (mid-insert) is skipped: the writer that created it bumped the seqlock,
 // so the enclosing bracket discards the chunk anyway.
-func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
+func mergeAsc[O ordIdx](l *leafNode, items []*kv, order []O, bound []byte, incl, edge bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
@@ -252,7 +258,7 @@ func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge 
 				ti++
 				continue
 			}
-			cmp := bytes.Compare(it.key, bound)
+			cmp := bytes.Compare(it.key(), bound)
 			if cmp > 0 || (incl && cmp == 0) {
 				break
 			}
@@ -318,7 +324,7 @@ func mergeAsc(l *leafNode, items []*kv, order []int32, bound []byte, incl, edge 
 // bound (<= when incl, < otherwise; no bound at all when unbounded). A
 // tail entry with pos == oi+1 sits between order[oi] and order[oi+1], so
 // going down it is emitted before order[oi].
-func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
+func mergeDesc[O ordIdx](l *leafNode, items []*kv, order []O, bound []byte, incl, unbounded bool, buf []scanEntry) ([]scanEntry, bool) {
 	tl := int(l.tailLen.Load())
 	if tl > tagTailMax {
 		tl = tagTailMax
@@ -336,7 +342,7 @@ func mergeDesc(l *leafNode, items []*kv, order []int32, bound []byte, incl, unbo
 				ti--
 				continue
 			}
-			cmp := bytes.Compare(it.key, bound)
+			cmp := bytes.Compare(it.key(), bound)
 			if cmp < 0 || (incl && cmp == 0) {
 				break
 			}
@@ -601,7 +607,7 @@ func (w *Wormhole) scanUnsafe(start []byte, fn func(key, val []byte) bool) {
 	i := l.firstAtLeast(start)
 	for l != nil {
 		for ; i < len(l.kvs); i++ {
-			if !fn(l.kvs[i].key, l.kvs[i].value()) {
+			if !fn(l.kvs[i].key(), l.kvs[i].value()) {
 				return
 			}
 		}
@@ -628,7 +634,7 @@ func (w *Wormhole) scanDescUnsafe(start []byte, fn func(key, val []byte) bool) {
 	}
 	for l != nil {
 		for ; i >= 0; i-- {
-			if !fn(l.kvs[i].key, l.kvs[i].value()) {
+			if !fn(l.kvs[i].key(), l.kvs[i].value()) {
 				return
 			}
 		}

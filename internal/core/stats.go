@@ -42,16 +42,19 @@ func (w *Wormhole) Stats() Stats {
 }
 
 // Footprint returns the index's approximate heap consumption in bytes:
-// leaf structures, kv headers, key and value bytes, the tag arrays, and
-// every MetaTrieHT copy (both, in concurrent mode — the paper reports the
-// second table costs 0.34–3.7% of the whole index). It is the analytic
-// counterpart to the paper's getrusage measurement in Figure 16.
+// leaf structures, the kv slab chunks, key and value bytes, the tag
+// arrays, and every MetaTrieHT copy (both, in concurrent mode — the paper
+// reports the second table costs 0.34–3.7% of the whole index). It is the
+// analytic counterpart to the paper's getrusage measurement in Figure 16.
+//
+// Items are charged as allocated, not as used: the slab account counts
+// every chunk newKV or BulkLoad made, slack slots included. It only
+// grows, so after deletions it is an upper bound — a chunk whose items
+// are all gone is collected, but stays charged.
 func (w *Wormhole) Footprint() int64 {
-	var total int64
+	total := w.slabBytes.Load()
 	leafHdr := int64(unsafe.Sizeof(leafNode{}))
-	kvHdr := int64(unsafe.Sizeof(kv{}))
 	ptr := int64(unsafe.Sizeof(uintptr(0)))
-	blockSz := int64(unsafe.Sizeof(tagBlock{}))
 	for l := w.head; l != nil; l = l.next.Load() {
 		total += leafHdr // includes the inline tag tail arrays
 		total += int64(len(l.anchor.Load().stored)) + int64(unsafe.Sizeof(anchor{}))
@@ -59,14 +62,14 @@ func (w *Wormhole) Footprint() int64 {
 		// The published base block is a fixed-size allocation regardless
 		// of occupancy; big (overflow) blocks add their slices.
 		if b := l.base.Load(); b != emptyTagBlock {
-			total += blockSz
+			total += tagBlockAlloc
 			if b.big != nil {
 				total += int64(cap(b.big.hashes))*4 +
 					int64(cap(b.big.items))*ptr + int64(cap(b.big.order))*4
 			}
 		}
 		for _, it := range l.kvs {
-			total += kvHdr + int64(len(it.key)) + int64(len(it.value()))
+			total += int64(it.klen) + int64(len(it.value()))
 		}
 	}
 	total += tableFootprint(w.cur.Load())

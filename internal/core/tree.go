@@ -99,6 +99,10 @@ type Wormhole struct {
 	head  *leafNode // leftmost leaf; never removed (merges consume the right node)
 	count atomic.Int64
 
+	// slabBytes is the kv slab memory allocated so far (newKV, bulk
+	// load), which Footprint reports in place of a per-item estimate.
+	slabBytes atomic.Int64
+
 	// batchDepth is the GetBatch pipeline's interleave depth (0 = scalar
 	// loop); atomic so SetBatchInterleave can retune a live index.
 	batchDepth atomic.Int32
@@ -391,7 +395,7 @@ func (w *Wormhole) setOnline(h uint32, key, val []byte) uint64 {
 			return token
 		}
 		if l.size() < w.opt.LeafCap {
-			l.insert(l.newKV(h, key, val))
+			l.insert(w.newKV(l, h, key, val))
 			w.count.Add(1)
 			token := w.logSet(key, val)
 			l.mu.Unlock()
@@ -428,7 +432,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 		return token
 	}
 	if l.size() < w.opt.LeafCap {
-		l.insert(l.newKV(h, key, val))
+		l.insert(w.newKV(l, h, key, val))
 		w.count.Add(1)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
@@ -439,7 +443,7 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	p := planSplit(l, w.opt.ShortAnchors)
 	if p == nil {
 		// No legal anchor at any cut point: grow a fat leaf (§3.3).
-		l.insert(l.newKV(h, key, val))
+		l.insert(w.newKV(l, h, key, val))
 		w.count.Add(1)
 		token := w.logSet(key, val)
 		l.mu.Unlock()
@@ -450,16 +454,16 @@ func (w *Wormhole) splitInsert(h uint32, key, val []byte) uint64 {
 	nv := t.version + 1
 	l.version.Store(nv)
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p)
+	newL := splitRight(l, p)
 	newL.version.Store(nv)
-	newL.mu.Lock()
-	linkAfter(l, newL)
+	newL.mu.Lock() // before executeLeafSplit makes newL reachable
+	executeLeafSplit(l, newL, p)
 	// Insert the pending item into the correct half before publication.
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL
 	}
-	target.insert(target.newKV(h, key, val))
+	target.insert(w.newKV(target, h, key, val))
 	w.count.Add(1)
 	token := w.logSet(key, val)
 
@@ -486,25 +490,25 @@ func (w *Wormhole) setUnsafe(h uint32, key, val []byte) uint64 {
 		return w.logSet(key, val)
 	}
 	if l.size() < w.opt.LeafCap {
-		l.insert(l.newKV(h, key, val))
+		l.insert(w.newKV(l, h, key, val))
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
 	l.incSort()
 	p := planSplit(l, w.opt.ShortAnchors)
 	if p == nil {
-		l.insert(l.newKV(h, key, val))
+		l.insert(w.newKV(l, h, key, val))
 		w.count.Add(1)
 		return w.logSet(key, val)
 	}
 	oldRight := l.next.Load()
-	newL := executeLeafSplit(l, p)
-	linkAfter(l, newL)
+	newL := splitRight(l, p)
+	executeLeafSplit(l, newL, p)
 	target := l
 	if bytes.Compare(key, newL.anchor.Load().real()) >= 0 {
 		target = newL
 	}
-	target.insert(target.newKV(h, key, val))
+	target.insert(w.newKV(target, h, key, val))
 	w.count.Add(1)
 	applySplit(t, l, newL, oldRight, p)
 	return w.logSet(key, val)

@@ -106,13 +106,17 @@ type Log struct {
 	interval time.Duration
 	mx       *Metrics // nil records nothing
 
-	mu     sync.Mutex // guards f, w, appended, err, closed
+	mu     sync.Mutex // guards f, w, hdr, appended, err, closed
 	f      vfs.File
 	w      *bufio.Writer
 	size   int64  // bytes framed so far (buffered + written)
 	seq    uint64 // records appended
 	err    error  // sticky I/O error; surfaces on Flush/Close
 	closed bool
+
+	// hdr stages each record's frame header; a local array would escape
+	// to the heap through w.Write, one allocation per record.
+	hdr [frameHeader]byte
 
 	// Group commit: synced is the highest seq known durable; syncMu admits
 	// one syncing goroutine at a time while a convoy of appenders piles up
@@ -184,9 +188,7 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 	if len(payload) == 0 || len(payload) > maxRecord {
 		return 0, fmt.Errorf("wal: record length %d out of range", len(payload))
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	crc := crc32.Checksum(payload, castagnoli)
 
 	var t0 time.Time
 	if l.mx != nil {
@@ -200,7 +202,9 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 	if l.err != nil {
 		return 0, l.err
 	}
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(l.hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(l.hdr[4:8], crc)
+	if _, err := l.w.Write(l.hdr[:]); err != nil {
 		l.err = err
 		return 0, err
 	}

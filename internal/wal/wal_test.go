@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/repro/wormhole/internal/core"
+	"github.com/repro/wormhole/internal/metrics"
 
 	"github.com/repro/wormhole/internal/vfs"
 )
@@ -53,6 +54,33 @@ func TestLogAppendReplayRoundtrip(t *testing.T) {
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("record %d = %q want %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLogAppendZeroAllocs pins the append path at zero heap allocations
+// per record, with the metrics hooks both armed and unarmed: every logged
+// Set and Del goes through it.
+func TestLogAppendZeroAllocs(t *testing.T) {
+	for _, armed := range []bool{false, true} {
+		var mx *Metrics
+		if armed {
+			mx = NewMetrics(metrics.NewRegistry())
+		}
+		l, err := openLog(vfs.OS(), filepath.Join(t.TempDir(), "w.log"), 0, SyncNone, 0, mx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("set key-000042 value-000042")
+		if got := testing.AllocsPerRun(200, func() {
+			if _, err := l.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("Append (metrics armed=%v) allocates %.1f times per record, want 0", armed, got)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
